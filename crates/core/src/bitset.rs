@@ -20,13 +20,6 @@ impl DynBitSet {
         Self::default()
     }
 
-    /// Creates an empty bitset with room for `bits` bits.
-    pub fn with_capacity(bits: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(bits.div_ceil(64)),
-        }
-    }
-
     #[inline]
     fn ensure(&mut self, word: usize) {
         if self.words.len() <= word {
@@ -41,14 +34,6 @@ impl DynBitSet {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Clears bit `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        if let Some(w) = self.words.get_mut(i / 64) {
-            *w &= !(1u64 << (i % 64));
-        }
-    }
-
     /// Returns bit `i` (false if beyond the current capacity).
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -58,38 +43,17 @@ impl DynBitSet {
             .unwrap_or(false)
     }
 
-    /// Ors `other` into `self` (bit-parallel). Trailing and interior zero
-    /// words of `other` are skipped, so the cost is proportional to the
-    /// number of non-zero words — important for the reachability matrix `R`,
-    /// whose per-arc propagation usually adds a single new bit to many rows.
+    /// Ors `other` into `self`, a word at a time. Trailing zero words of
+    /// `other` are skipped, so they never grow `self`; this is the one row
+    /// operation the closure of `R` makes per arc.
     pub fn union_with(&mut self, other: &DynBitSet) {
-        let last_nonzero = match other.words.iter().rposition(|&w| w != 0) {
-            Some(i) => i,
-            None => return,
+        let Some(last_nonzero) = other.words.iter().rposition(|&w| w != 0) else {
+            return;
         };
         self.ensure(last_nonzero);
-        for (i, &w) in other.words[..=last_nonzero].iter().enumerate() {
-            if w != 0 {
-                self.words[i] |= w;
-            }
+        for (w, &o) in self.words.iter_mut().zip(&other.words[..=last_nonzero]) {
+            *w |= o;
         }
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterates over the indices of set bits, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| ((w >> b) & 1 == 1).then_some(wi * 64 + b))
-        })
     }
 
     /// Approximate heap usage in bytes (for the memory statistics the paper
@@ -111,7 +75,7 @@ mod tests {
             b.set(i);
             assert!(b.get(i));
         }
-        assert_eq!(b.count(), 8);
+        assert!(!b.get(2) && !b.get(129));
     }
 
     #[test]
@@ -119,18 +83,6 @@ mod tests {
         let b = DynBitSet::new();
         assert!(!b.get(0));
         assert!(!b.get(10_000));
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_bits() {
-        let mut b = DynBitSet::new();
-        b.set(70);
-        b.clear(70);
-        assert!(!b.get(70));
-        // Clearing an out-of-range bit is a no-op.
-        b.clear(10_000);
-        assert!(b.is_empty());
     }
 
     #[test]
@@ -141,22 +93,6 @@ mod tests {
         b.set(200);
         a.union_with(&b);
         assert!(a.get(1) && a.get(200));
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn iter_yields_sorted_indices() {
-        let mut b = DynBitSet::new();
-        for i in [5usize, 64, 3, 128] {
-            b.set(i);
-        }
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![3, 5, 64, 128]);
-    }
-
-    #[test]
-    fn with_capacity_does_not_set_bits() {
-        let b = DynBitSet::with_capacity(1024);
-        assert!(b.is_empty());
-        assert_eq!(b.count(), 0);
+        assert!(!a.get(2) && !a.get(199));
     }
 }

@@ -1,11 +1,19 @@
 //! The reachability dag `R` over attached sets, with an incrementally
 //! maintained transitive closure.
 //!
-//! MultiBags+ keeps `R` small (O(k) nodes for k `get_fut` operations) and
-//! pays O(k) per arc insertion to keep the closure exact, so queries are
-//! O(1). FutureRD represents the closure as bit vectors and propagates
-//! reachability with parallel bit operations; this implementation does the
-//! same with [`DynBitSet`].
+//! MultiBags+ keeps `R` small (O(k) nodes and arcs for k `get_fut`
+//! operations) and its closure exact, so queries are O(1). As in FutureRD
+//! the closure is bit vectors updated with parallel bit operations: one
+//! [`DynBitSet`] row of predecessors per node, and nothing else. An arc
+//! `from -> to` unions `pred[from] ∪ {from}` into the row of every
+//! descendant of `to` (`to` and each node whose row holds `to`). Nearly
+//! every arc targets a fresh node (no outgoing arc yet), whose only
+//! descendant is itself: one word-parallel row union. Otherwise (as for
+//! `on_sync`'s `rf -> rs1` when both branches are attached) the rows are
+//! scanned for the descendants, which is correct for any arc order. Either
+//! way an arc costs at most k bit tests and k row unions, so the O(k) arcs
+//! cost O(k²) row operations: Theorem 5.1's bound, counting a row union as
+//! one parallel bit operation.
 
 use crate::bitset::DynBitSet;
 use serde::{Deserialize, Serialize};
@@ -28,13 +36,15 @@ impl std::fmt::Display for RNodeId {
     }
 }
 
-/// A dag with an exact, incrementally maintained transitive closure.
+/// A dag with an exact, incrementally maintained transitive closure, stored
+/// as predecessor rows only (see the module docs for the update rules).
 #[derive(Debug, Clone, Default)]
 pub struct RGraph {
     /// `pred[i]`: nodes with a (non-empty) path to `i`.
     pred: Vec<DynBitSet>,
-    /// `succ[i]`: nodes reachable from `i` by a non-empty path.
-    succ: Vec<DynBitSet>,
+    /// `has_succ[i]`: `i` has an outgoing arc, so arcs into it take the
+    /// non-fresh path.
+    has_succ: Vec<bool>,
     arcs: u64,
 }
 
@@ -59,7 +69,7 @@ impl RGraph {
     pub fn add_node(&mut self) -> RNodeId {
         let id = RNodeId(self.pred.len() as u32);
         self.pred.push(DynBitSet::new());
-        self.succ.push(DynBitSet::new());
+        self.has_succ.push(false);
         id
     }
 
@@ -78,47 +88,100 @@ impl RGraph {
         if self.reaches(from, to) {
             return;
         }
-        // ancestors = pred(from) ∪ {from}; descendants = succ(to) ∪ {to}.
-        let mut ancestors = self.pred[from.index()].clone();
-        ancestors.set(from.index());
-        // In MultiBags+ almost every arc points at a freshly created node
-        // (`to` has no successors yet), so the descendant set is tiny;
-        // enumerate it explicitly and update the closure with single-bit
-        // writes, which keeps the common case at O(|ancestors|) per arc and
-        // the total closure maintenance at the O(k²) of Theorem 5.1.
-        let mut descendant_ids: Vec<usize> = self.succ[to.index()].iter().collect();
-        descendant_ids.push(to.index());
-        for a in ancestors.iter() {
-            for &d in &descendant_ids {
-                self.succ[a].set(d);
+        let (from, to) = (from.index(), to.index());
+        self.has_succ[from] = true;
+        if !self.has_succ[to] {
+            self.absorb(to, from);
+            return;
+        }
+        // Acyclicity keeps `from` out of the descendants of `to` and `to`
+        // out of `pred[from]`, so the scan sees every row as it was before
+        // the arc.
+        for d in 0..self.pred.len() {
+            let row = &self.pred[d];
+            if (d == to || row.get(to)) && !row.get(from) {
+                self.absorb(d, from);
             }
         }
-        for &d in &descendant_ids {
-            self.pred[d].union_with(&ancestors);
-        }
+    }
+
+    /// `pred[d] ∪= pred[from] ∪ {from}`, for `d != from`.
+    fn absorb(&mut self, d: usize, from: usize) {
+        let mut row = std::mem::take(&mut self.pred[d]);
+        row.union_with(&self.pred[from]);
+        row.set(from);
+        self.pred[d] = row;
     }
 
     /// True iff there is a non-empty path `from -> to`.
     pub fn reaches(&self, from: RNodeId, to: RNodeId) -> bool {
-        self.succ
-            .get(from.index())
-            .map(|s| s.get(to.index()))
-            .unwrap_or(false)
+        self.pred
+            .get(to.index())
+            .is_some_and(|p| p.get(from.index()))
     }
 
-    /// Approximate heap usage of the closure in bytes.
+    /// Approximate heap usage of the closure (the predecessor rows) in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.pred
-            .iter()
-            .chain(self.succ.iter())
-            .map(|b| b.heap_bytes())
-            .sum()
+        self.pred.iter().map(DynBitSet::heap_bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn shuffle<T>(v: &mut [T], state: &mut u64) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, xorshift(state) as usize % (i + 1));
+        }
+    }
+
+    /// Floyd–Warshall closure of `n` nodes under `arcs`.
+    fn floyd_warshall(n: usize, arcs: &[(usize, usize)]) -> Vec<Vec<bool>> {
+        let mut adj = vec![vec![false; n]; n];
+        for &(i, j) in arcs {
+            adj[i][j] = true;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    adj[i][j] |= adj[i][k] && adj[k][j];
+                }
+            }
+        }
+        adj
+    }
+
+    /// Builds a graph of `n` nodes from `arcs`, checking it against
+    /// Floyd–Warshall after every insertion; returns how many insertions
+    /// targeted a node that already had successors and was not yet reached.
+    fn check_insertions(n: usize, arcs: &[(usize, usize)]) -> usize {
+        let mut g = RGraph::new();
+        let nodes: Vec<_> = (0..n).map(|_| g.add_node()).collect();
+        let mut closure = vec![vec![false; n]; n];
+        let mut non_fresh = 0;
+        for (k, &(from, to)) in arcs.iter().enumerate() {
+            if closure[to].contains(&true) && !closure[from][to] {
+                non_fresh += 1;
+            }
+            g.add_arc(nodes[from], nodes[to]);
+            closure = floyd_warshall(n, &arcs[..=k]);
+            for i in 0..n {
+                for j in 0..n {
+                    let got = g.reaches(nodes[i], nodes[j]);
+                    assert_eq!(got, closure[i][j], "after arc {k}: ({i},{j})");
+                }
+            }
+        }
+        non_fresh
+    }
 
     #[test]
     fn empty_graph_has_no_reachability() {
@@ -141,18 +204,13 @@ mod tests {
 
     #[test]
     fn closure_is_transitive_in_both_directions() {
-        let mut g = RGraph::new();
-        let n: Vec<_> = (0..6).map(|_| g.add_node()).collect();
         // chain 0->1->2 and 3->4->5, then bridge 2->3.
-        g.add_arc(n[0], n[1]);
-        g.add_arc(n[1], n[2]);
-        g.add_arc(n[3], n[4]);
-        g.add_arc(n[4], n[5]);
-        assert!(!g.reaches(n[0], n[5]));
-        g.add_arc(n[2], n[3]);
+        let arcs = [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)];
+        assert_eq!(check_insertions(6, &arcs), 1);
+        let closure = floyd_warshall(6, &arcs);
         for i in 0..6 {
             for j in 0..6 {
-                assert_eq!(g.reaches(n[i], n[j]), i < j, "({i},{j})");
+                assert_eq!(closure[i][j], i < j, "({i},{j})");
             }
         }
     }
@@ -160,10 +218,7 @@ mod tests {
     #[test]
     fn diamond_reachability() {
         let mut g = RGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        let c = g.add_node();
-        let d = g.add_node();
+        let [a, b, c, d] = [(); 4].map(|_| g.add_node());
         g.add_arc(a, b);
         g.add_arc(a, c);
         g.add_arc(b, d);
@@ -174,11 +229,18 @@ mod tests {
     }
 
     #[test]
+    fn bridge_into_an_older_node_with_successors_reaches_its_descendants() {
+        // Diamond 0 -> {1, 2} -> 3, then the newer node 4 bridged into 1,
+        // which has a lower id and a successor, as in `on_sync`'s
+        // `rf -> rs1`; the bridge 4 -> 3 is then implied.
+        let arcs = [(0, 1), (0, 2), (1, 3), (2, 3), (4, 1), (4, 3)];
+        assert_eq!(check_insertions(5, &arcs), 1);
+    }
+
+    #[test]
     fn redundant_arcs_do_not_break_closure() {
         let mut g = RGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        let c = g.add_node();
+        let [a, b, c] = [(); 3].map(|_| g.add_node());
         g.add_arc(a, b);
         g.add_arc(b, c);
         g.add_arc(a, c); // already implied
@@ -189,43 +251,36 @@ mod tests {
     #[test]
     fn closure_matches_floyd_warshall_on_random_dags() {
         // Deterministic pseudo-random dag: arcs only from lower to higher
-        // ids, compare against a Floyd–Warshall closure.
+        // ids, inserted in that order.
         let n = 40usize;
         let mut state = 0x243f6a8885a308d3u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut g = RGraph::new();
-        let nodes: Vec<_> = (0..n).map(|_| g.add_node()).collect();
-        let mut adj = vec![vec![false; n]; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if next() % 10 < 2 {
-                    g.add_arc(nodes[i], nodes[j]);
-                    adj[i][j] = true;
-                }
-            }
+        let arcs: Vec<_> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .filter(|_| xorshift(&mut state) % 10 < 2)
+            .collect();
+        check_insertions(n, &arcs);
+    }
+
+    #[test]
+    fn closure_matches_floyd_warshall_under_shuffled_arc_order() {
+        // Random dags over a shuffled topological order, their arcs
+        // inserted in shuffled order: arcs point into lower ids and into
+        // nodes that already have successors.
+        let n = 24usize;
+        let mut non_fresh = 0;
+        for seed in 1..=20u64 {
+            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15);
+            let mut topo: Vec<usize> = (0..n).collect();
+            shuffle(&mut topo, &mut state);
+            let mut arcs: Vec<_> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .filter(|_| xorshift(&mut state) % 10 < 2)
+                .map(|(i, j)| (topo[i], topo[j]))
+                .collect();
+            shuffle(&mut arcs, &mut state);
+            non_fresh += check_insertions(n, &arcs);
         }
-        // Floyd–Warshall closure.
-        for k in 0..n {
-            for i in 0..n {
-                if adj[i][k] {
-                    for j in 0..n {
-                        if adj[k][j] {
-                            adj[i][j] = true;
-                        }
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(g.reaches(nodes[i], nodes[j]), adj[i][j], "({i},{j})");
-            }
-        }
+        assert!(non_fresh > 0, "no insertion took the non-fresh path");
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub struct ReachStats {
     pub attached_sets: u64,
     /// Arcs added to `R` (MultiBags+ only).
     pub r_arcs: u64,
-    /// Approximate bytes used by the transitive closure of `R`.
+    /// Approximate bytes used by the transitive closure of `R`: its
+    /// predecessor rows, the only closure `RGraph` stores.
     pub r_bytes: u64,
     /// Number of times a set the algorithm expected to be attached had to be
     /// attachified defensively (should be zero; exposed for validation).
