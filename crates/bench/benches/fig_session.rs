@@ -8,13 +8,12 @@
 //! * `one_shot`        — a single `Config::replay` of the full trace: the
 //!   floor for producing one verdict from scratch;
 //! * `session_follow`  — one session, `CHUNKS` ingests, a report after each
-//!   (so `CHUNKS` verdicts): the freeze happens once, spread across the
-//!   appends, and each report re-runs only the partitions the append
-//!   touched;
+//!   (so `CHUNKS` verdicts): one live detector absorbs every event once,
+//!   and each report snapshots it;
 //! * `replay_each`     — the pre-session client: a fresh one-shot replay of
-//!   the growing prefix after every append (`CHUNKS` verdicts, `CHUNKS`
-//!   full freezes). `session_follow` must beat this decisively — that gap
-//!   is the point of the session API.
+//!   the growing prefix after every append (`CHUNKS` verdicts, each event
+//!   detected on up to `CHUNKS` times). `session_follow` must beat this
+//!   decisively — that gap is the point of the session API.
 //!
 //! Scale the traces with `FUTURERD_SCALE`.
 

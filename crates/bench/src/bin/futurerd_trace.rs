@@ -86,11 +86,11 @@ fn usage() -> ! {
          <dir>/batch-manifest.txt.\n\
          follow simulates a growing execution: the workload's event stream\n\
          is fed to one long-lived detection session in --chunks appends\n\
-         (default 8), re-detecting after each — the first report freezes\n\
-         cold, every later one is incremental (only partitions the appended\n\
-         suffix touched re-run). With --store the session is persistent:\n\
-         state resumes from and refreshes the trace's FRDIDX sidecar. The\n\
-         final verdict is cross-checked against one-shot replay.\n\
+         (default 8), reporting after each — the session's live detector\n\
+         absorbs every event once and reports without being consumed. With\n\
+         --store the session is persistent: it resumes from and saves the\n\
+         stored trace. The final verdict is cross-checked against the\n\
+         sharded two-pass engine at --threads workers.\n\
          fuzz differentially checks every detector × serving path on seeded\n\
          generated programs (default 100 seeds; --minutes caps wall-clock).\n\
          Divergences are classified; any real bug makes the exit non-zero.\n\
@@ -815,17 +815,20 @@ fn cmd_diff(opts: &Options) -> ExitCode {
 }
 
 /// Drives one long-lived detection session over a growing execution: the
-/// recorded event stream is ingested in `--chunks` appends, re-detecting
-/// after each. Prints one line per append with the serving path, then
-/// cross-checks the final verdict against one-shot replay.
+/// recorded event stream is ingested in `--chunks` appends, reporting after
+/// each. Prints one line per append, then cross-checks the final verdict
+/// against the independent two-pass engine (`par_replay_detect`).
 fn cmd_follow(opts: &Options) -> ExitCode {
     let Some(workload) = opts.workload else {
         eprintln!("follow needs --workload");
         usage()
     };
-    let algorithm = match opts.algorithm.as_deref() {
-        None | Some("multibags") => futurerd::Algorithm::MultiBags,
-        Some("multibags+") => futurerd::Algorithm::MultiBagsPlus,
+    let (algorithm, engine_algorithm) = match opts.algorithm.as_deref() {
+        None | Some("multibags") => (futurerd::Algorithm::MultiBags, ReplayAlgorithm::MultiBags),
+        Some("multibags+") => (
+            futurerd::Algorithm::MultiBagsPlus,
+            ReplayAlgorithm::MultiBagsPlus,
+        ),
         Some(other) => {
             eprintln!("follow serves the freezable algorithms only (got '{other}')");
             usage()
@@ -845,9 +848,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
         threads = opts.threads,
     );
 
-    let config = futurerd::Config::new()
-        .algorithm(algorithm)
-        .threads(opts.threads);
+    let config = futurerd::Config::new().algorithm(algorithm);
     let mut store: Option<futurerd::Store> = None;
     let mut session = match &opts.store {
         Some(dir) => {
@@ -860,8 +861,8 @@ fn cmd_follow(opts: &Options) -> ExitCode {
             };
             let name = format!("follow-{}-{}", workload.name(), opts.mode);
             // Seed an empty entry only on first use — an existing entry is
-            // the previous run's persisted state and the session resumes
-            // from it (warm, from the FRDIDX sidecar).
+            // the previous run's persisted trace and the session resumes
+            // from it.
             let seed_empty = |store: &mut futurerd::Store| {
                 store.put_trace(&name, &futurerd_dag::trace::Trace::new())
             };
@@ -927,25 +928,22 @@ fn cmd_follow(opts: &Options) -> ExitCode {
             }
         };
         println!(
-            "  +{:>6} ev → {:>7} total: {:>3} racy granules   [{}]   ({:.2?})",
+            "  +{:>6} ev → {:>7} total: {:>3} racy granules   ({:.2?})",
             chunk.len(),
             session.len(),
             detection.race_count(),
-            detection
-                .path
-                .map(|p| p.to_string())
-                .unwrap_or_else(|| "unrouted".into()),
             ingest_start.elapsed(),
         );
     }
     let follow_time = start.elapsed();
 
-    // The whole point of sessions: the final incremental verdict is
-    // byte-identical to one-shot replay of the full trace.
-    let one_shot = match config.replay(&trace) {
-        Ok(detection) => detection,
+    // The whole point of sessions: the final verdict is byte-identical to
+    // one-shot detection of the full trace — here by the independent
+    // two-pass engine, not by the session's own code path.
+    let engine = match par_replay_detect(&trace, engine_algorithm, opts.threads) {
+        Ok(report) => report,
         Err(e) => {
-            eprintln!("one-shot replay failed: {e}");
+            eprintln!("two-pass engine replay failed: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -956,36 +954,20 @@ fn cmd_follow(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if last.report().to_string() != one_shot.report().to_string() {
+    if last.report().to_string() != engine.to_string() {
         eprintln!(
-            "MISMATCH: followed session found {} racy granules, one-shot replay {}",
+            "MISMATCH: followed session found {} racy granules, the two-pass engine at P={} {}",
             last.race_count(),
-            one_shot.race_count()
+            opts.threads,
+            engine.race_count()
         );
         return ExitCode::FAILURE;
     }
     println!(
-        "followed {} events in {follow_time:.2?}; final verdict == one-shot replay ✓",
-        events.len()
+        "followed {} events in {follow_time:.2?}; final verdict == two-pass engine at P={} ✓",
+        events.len(),
+        opts.threads
     );
-    // The session holds the store borrow; release it so the aggregate
-    // serving statistics can be read out for satellite visibility.
-    drop(session);
-    if let Some(store) = &store {
-        let stats = store.stats();
-        println!(
-            "  store: {} cold freeze(s), {} warm load(s), {} fully cached, {} incremental ({} partition(s) rerun, {} reused, {} rebalance(s), {} invalidated sidecar(s))",
-            stats.cold_freezes,
-            stats.warm_index_loads,
-            stats.warm_cached_hits,
-            stats.incremental_refreezes,
-            stats.partitions_rerun,
-            stats.partitions_reused,
-            stats.rebalances,
-            stats.invalidated_sidecars,
-        );
-        stats.export_metrics("store");
-    }
     ExitCode::SUCCESS
 }
 

@@ -1330,9 +1330,8 @@ impl IncrementalFreezer {
     /// produced, at every worker count — the assist only changes *where*
     /// the stamping loops run, never what they write.
     ///
-    /// The assist is borrowed per call (not stored), so a session can keep
-    /// one resident freezer and attach whatever pool its next report is
-    /// running on.
+    /// The assist is borrowed per call (not stored), so a long-lived
+    /// freezer can run each extend on whatever pool is at hand.
     pub fn extend_assisted(
         &mut self,
         events: &[futurerd_dag::trace::TraceEvent],

@@ -26,9 +26,10 @@
 //!    event over seeded generated programs.
 //!
 //! Workers are plain closures handed to a [`DetectExecutor`]; the default
-//! [`StdExecutor`] uses scoped OS threads, and `futurerd`'s facade plugs the
-//! work-stealing pool of `futurerd-runtime` in instead (its `PoolExecutor`),
-//! so detection — not just capture — runs on the pool.
+//! [`StdExecutor`] uses scoped OS threads, and `futurerd-store`'s
+//! `PoolExecutor` (re-exported by the `futurerd` facade) plugs the
+//! work-stealing pool of `futurerd-runtime` in instead, so detection — not
+//! just capture — runs on the pool.
 
 mod assist;
 mod freeze;

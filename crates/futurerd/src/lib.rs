@@ -72,15 +72,14 @@
 //! [`Config::session`], or persistent on a [`Store`] entry via
 //! [`Config::open_session`]), [`ingest`](Session::ingest) event chunks as
 //! the observed execution grows, and ask for a [`report`](Session::report)
-//! at any point. The session validates each event exactly once, keeps the
-//! reachability freeze *resident* (appends extend it, never repeat it), and
-//! serves every report from the cheapest valid path — fully cached, touched
-//! partitions only, or cold — reporting which via [`Detection::path`]. The
-//! answer is byte-identical to replaying the whole trace from scratch, for
-//! any chunking, at any thread count:
+//! at any point. The session runs the paper's on-the-fly detector live:
+//! each event is validated and detected on exactly once, and a report
+//! snapshots the detector without consuming it. The answer is
+//! byte-identical to replaying the prefix so far from scratch, for any
+//! chunking:
 //!
 //! ```
-//! use futurerd::{Config, DetectionPath};
+//! use futurerd::Config;
 //!
 //! let recorded = futurerd::record(|cx| {
 //!     let mut cell = futurerd::ShadowCell::new(cx, 0u32);
@@ -94,11 +93,10 @@
 //! let mut session = Config::structured().session();
 //! session.ingest(&events[..4]).unwrap();
 //! let early = session.report().unwrap(); // verdict on the prefix so far
-//! assert_eq!(early.path, Some(DetectionPath::Cold));
+//! assert!(early.is_race_free());
 //!
 //! session.ingest(&events[4..]).unwrap(); // the execution grew
 //! let full = session.report().unwrap();  // only the suffix is new work
-//! assert!(matches!(full.path, Some(DetectionPath::Incremental { .. })));
 //! assert_eq!(full.race_count(), 1);
 //!
 //! // Byte-identical to one-shot replay of the concatenated trace.
@@ -145,10 +143,6 @@ mod session;
 
 pub use error::Error;
 pub use futurerd_core::detector::{InstrumentationOnly, RaceDetector, ReachabilityOnly};
-pub use futurerd_core::parallel;
-pub use futurerd_core::parallel::{
-    par_replay_detect, AssistExecutor, DetectExecutor, FreezeAssist, ReachIndex,
-};
 pub use futurerd_core::replay;
 pub use futurerd_core::stats::{DetectorStats, ReachStats};
 pub use futurerd_core::{AccessKind, Race, RaceReport};
@@ -160,13 +154,15 @@ pub use futurerd_runtime::trace::TraceRecorder;
 pub use futurerd_runtime::{ShadowArray, ShadowCell, ShadowMatrix, ThreadPool, ThreadPoolBuilder};
 pub use futurerd_store as store;
 pub use futurerd_store::{
-    BatchJob, BatchManifest, DetectionPath, Store, StoreDetection, StoreError, StoreStats,
+    BatchJob, BatchManifest, DetectionPath, PoolExecutor, Store, StoreDetection, StoreError,
+    StoreStats,
 };
 pub use session::Session;
 
 use futurerd_core::reachability::{
     GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsConservative,
 };
+use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
 use futurerd_runtime::run_program;
 
@@ -221,7 +217,7 @@ pub enum Analysis {
 }
 
 /// Builder selecting the observer (analysis level) × reachability structure
-/// combination to run a program under, and — for trace replay — how many
+/// combination to run a program under, and — for stored traces — how many
 /// detection threads to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
@@ -270,26 +266,16 @@ impl Config {
         self
     }
 
-    /// Number of detection threads used by sessions and the `replay*`
-    /// wrappers (default 1).
+    /// Number of detection threads [`Config::replay_stored`] hands to
+    /// [`Store::detect`] (default 1): with more than one, the store's
+    /// pass 2 runs sharded across the **process-shared** work-stealing
+    /// pool of this size ([`ThreadPool::shared`]), and the [`RaceReport`]
+    /// is identical at any thread count.
     ///
-    /// With more than one thread, full-detection MultiBags / MultiBags+
-    /// requests run pass 2 of the parallel engine
-    /// (`futurerd-core::parallel`) sharded across workers on a
-    /// work-stealing [`ThreadPool`]: the granule space is split into
-    /// contiguous ranges balanced by access count and the per-partition
-    /// reports are merged deterministically — the [`RaceReport`] is
-    /// identical to a single-threaded replay at any thread count. Other
-    /// algorithms and partial analyses replay sequentially regardless of
-    /// this setting.
-    ///
-    /// Workers come from the **process-shared** pool of this size
-    /// ([`ThreadPool::shared`]), so repeated replays and batch jobs pay the
-    /// worker spawn cost once; use [`Config::replay_on`] (or
-    /// [`Session::on_pool`]) to supply a pool explicitly.
-    ///
-    /// Engine paths report the summed per-partition `detector_stats` but no
-    /// `reach_stats` (the freeze does not meter its reachability work).
+    /// Sessions, [`Config::run`] and [`Config::replay`] ignore it: they run
+    /// the paper's live on-the-fly detector, which beat the two-pass
+    /// engine on every request of the repository's offline-serving
+    /// benchmark.
     ///
     /// # Example
     ///
@@ -303,16 +289,21 @@ impl Config {
     ///     cx.sync();
     ///     racy
     /// });
+    /// let dir = std::env::temp_dir().join(format!("frd-threads-doc-{}", std::process::id()));
+    /// let mut store = Config::store(&dir).unwrap();
+    /// store.put_trace("racy", &recorded.trace).unwrap();
+    ///
     /// let sequential = Config::structured().replay(&recorded.trace).unwrap();
-    /// let parallel = Config::structured()
+    /// let sharded = Config::structured()
     ///     .threads(4)
-    ///     .replay(&recorded.trace)
+    ///     .replay_stored(&mut store, "racy")
     ///     .unwrap();
-    /// assert_eq!(parallel.race_count(), sequential.race_count());
+    /// assert_eq!(sharded.race_count(), sequential.race_count());
     /// assert_eq!(
-    ///     parallel.report().witnesses(),
+    ///     sharded.report().witnesses(),
     ///     sequential.report().witnesses()
     /// );
+    /// # std::fs::remove_dir_all(&dir).ok();
     /// ```
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -393,7 +384,7 @@ impl Config {
             report,
             reach_stats,
             detector_stats,
-        } = observer.into_outcome();
+        } = observer.outcome();
         Detection {
             value,
             summary,
@@ -413,9 +404,8 @@ impl Config {
     /// into a fresh session (validating the canonical serial-DF ordering
     /// invariant, which the detectors' correctness depends on, and
     /// requiring a complete stream) and reported once. The returned
-    /// [`Detection`] carries no program value, its summary's
-    /// `bytes_allocated` is zero (traces do not record allocations), and
-    /// its [`path`](Detection::path) records how the request was served.
+    /// [`Detection`] carries no program value and its summary's
+    /// `bytes_allocated` is zero (traces do not record allocations).
     ///
     /// [`Algorithm::SpBags`] has no transition for future constructs, so
     /// replaying a futures-bearing trace under it returns
@@ -442,37 +432,6 @@ impl Config {
         session.report()
     }
 
-    /// As [`Config::replay`], but parallel detection workers run on the
-    /// given pool instead of the facade's process-shared one — for callers
-    /// that manage pool lifetime themselves. The partition count still comes
-    /// from [`Config::threads`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use futurerd::{Config, ThreadPool};
-    ///
-    /// let recorded = futurerd::record(|cx| {
-    ///     let mut cell = futurerd::ShadowCell::new(cx, 0u32);
-    ///     cx.spawn(|cx| cell.set(cx, 1));
-    ///     let racy = cell.get(cx);
-    ///     cx.sync();
-    ///     racy
-    /// });
-    /// let pool = ThreadPool::new(2);
-    /// let d = Config::structured()
-    ///     .threads(2)
-    ///     .replay_on(&recorded.trace, &pool)
-    ///     .unwrap();
-    /// assert_eq!(d.race_count(), 1);
-    /// ```
-    pub fn replay_on(self, trace: &Trace, pool: &ThreadPool) -> Result<Detection<()>, Error> {
-        let mut session = self.session().on_pool(pool);
-        session.ingest(trace.events())?;
-        require_complete(&session, trace.len())?;
-        session.report()
-    }
-
     /// Opens (or creates) a persistent detection [`Store`] rooted at `path`
     /// — traces live next to their frozen-index `FRDIDX` sidecars, so
     /// repeated replays take the warm path and appended events re-detect
@@ -482,21 +441,22 @@ impl Config {
         Store::open(path)
     }
 
-    /// Replays a trace *stored* in `store` under this configuration — the
-    /// single-shot form of a persistent [`Session`]
-    /// ([`Config::open_session`]): the freeze is served from the trace's
-    /// `FRDIDX` sidecar when it is valid (warm replay), only the appended
-    /// suffix is refrozen when the trace has grown, and the refreshed state
-    /// is persisted back. The report is byte-identical to
-    /// [`Config::replay`] on the same trace, and
-    /// [`Detection::path`] records which path served it.
+    /// Detects races on a trace *stored* in `store` under this
+    /// configuration through [`Store::detect`]: the freeze is served from
+    /// the trace's `FRDIDX` sidecar when it is valid (warm), only the
+    /// appended suffix is refrozen when the trace has grown (incremental),
+    /// and the refreshed sidecar is written back. Pass 2 runs on
+    /// [`Config::threads`] workers. The report is byte-identical to
+    /// [`Config::replay`] on the same trace, [`Detection::path`] records
+    /// which path served it, and the store path meters no
+    /// `reach_stats` / `detector_stats`.
     ///
     /// Only the freezable algorithms ([`Algorithm::MultiBags`] and
     /// [`Algorithm::MultiBagsPlus`]) have a persistent index; other
     /// algorithms return the store's
     /// [`Unfreezable`](StoreError::Unfreezable) error. A partial
-    /// [`Analysis`] level is honored by replaying the stored trace
-    /// sequentially (no index is read or written): the result has the same
+    /// [`Analysis`] level is honored by replaying the stored trace through
+    /// a session (no index is read or written): the result has the same
     /// shape as [`Config::replay`] — no silent upgrade to full detection.
     ///
     /// # Example
@@ -531,8 +491,23 @@ impl Config {
             session.ingest(trace.events())?;
             return session.report();
         }
-        let mut session = self.open_session(store, name)?;
-        session.report()
+        let algorithm = match self.algorithm {
+            Algorithm::MultiBags => ReplayAlgorithm::MultiBags,
+            Algorithm::MultiBagsPlus => ReplayAlgorithm::MultiBagsPlus,
+            Algorithm::SpBags => ReplayAlgorithm::SpBags,
+            Algorithm::SpBagsConservative => ReplayAlgorithm::SpBagsConservative,
+            Algorithm::GraphOracle => ReplayAlgorithm::GraphOracle,
+        };
+        let detected = store.detect(name, algorithm, self.threads)?;
+        Ok(Detection {
+            value: (),
+            summary: summary_from_counts(&detected.counts),
+            config: self,
+            report: Some(detected.report),
+            reach_stats: None,
+            detector_stats: None,
+            path: Some(detected.path),
+        })
     }
 }
 
@@ -562,33 +537,6 @@ fn summary_from_counts(counts: &TraceCounts) -> ExecutionSummary {
         reads: counts.reads,
         writes: counts.writes,
         bytes_allocated: 0,
-    }
-}
-
-/// Runs the parallel engine's detection workers on a work-stealing
-/// [`ThreadPool`]: the facade's [`DetectExecutor`], plugged in by
-/// [`Config::threads`] so that sharded trace detection — not just capture —
-/// is scheduled by `futurerd-runtime`'s pool.
-#[derive(Clone, Copy)]
-pub struct PoolExecutor<'p>(pub &'p ThreadPool);
-
-impl std::fmt::Debug for PoolExecutor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolExecutor")
-            .field("threads", &self.0.num_threads())
-            .finish()
-    }
-}
-
-impl DetectExecutor for PoolExecutor<'_> {
-    fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        self.0.run_batch(tasks);
-    }
-}
-
-impl AssistExecutor for PoolExecutor<'_> {
-    fn assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
-        self.0.run_assist(helpers, body);
     }
 }
 
@@ -703,16 +651,15 @@ pub struct Detection<T> {
     /// The race report — present only under [`Analysis::Full`].
     pub report: Option<RaceReport>,
     /// Reachability work counters — absent under [`Analysis::Baseline`]
-    /// and on the frozen-engine replay paths (the freeze does not meter its
-    /// reachability work).
+    /// and on [`Config::replay_stored`]'s store path (the freeze does not
+    /// meter its reachability work).
     pub reach_stats: Option<ReachStats>,
-    /// Access-history counters — present only under [`Analysis::Full`].
-    /// On engine paths these are the per-partition counters summed (equal
-    /// to a sequential replay's on every field except `shadow_pages`,
-    /// which counts per-partition tables).
+    /// Access-history counters — present only under [`Analysis::Full`],
+    /// and absent on [`Config::replay_stored`]'s store path.
     pub detector_stats: Option<DetectorStats>,
-    /// How a replay/session/store request was served (`None` for live
-    /// [`Config::run`] executions, which have nothing to route).
+    /// How [`Config::replay_stored`]'s store request was served (`None`
+    /// everywhere else: runs, replays and sessions feed one live detector
+    /// and have nothing to route).
     pub path: Option<DetectionPath>,
 }
 
@@ -772,7 +719,8 @@ struct Outcome {
 }
 
 impl AnyObserver {
-    fn into_outcome(self) -> Outcome {
+    /// Snapshots the observer's detection state without consuming it.
+    fn outcome(&self) -> Outcome {
         let none = Outcome {
             report: None,
             reach_stats: None,
@@ -787,14 +735,13 @@ impl AnyObserver {
             };
         }
         macro_rules! full {
-            ($det:expr) => {{
-                let (report, reach_stats, detector_stats) = $det.into_parts();
+            ($det:expr) => {
                 Outcome {
-                    report: Some(report),
-                    reach_stats: Some(reach_stats),
-                    detector_stats: Some(detector_stats),
+                    report: Some($det.report().clone()),
+                    reach_stats: Some($det.reach_stats()),
+                    detector_stats: Some($det.history_stats()),
                 }
-            }};
+            };
         }
         match self {
             AnyObserver::Baseline(_) => none,

@@ -1,78 +1,42 @@
-//! Long-lived detection sessions: one streaming API over run, replay and
-//! store. The module is private — [`Session`] (re-exported at the crate
-//! root) carries the full routing-model documentation.
+//! Long-lived detection sessions: the paper's on-the-fly detector fed one
+//! chunk at a time. The module is private — [`Session`] (re-exported at the
+//! crate root) carries the documentation.
 
 use crate::error::Error;
-use crate::{summary_from_counts, Algorithm, Analysis, Config, Detection, PoolExecutor};
-use futurerd_core::parallel::{
-    detect_frozen_outcomes, incremental_outcomes, merge_outcomes_stats, AssistExecutor,
-    DetectExecutor, FreezeAssist, IncrementalFreezer, IncrementalOutcomes, PartitionOutcome,
-    StdExecutor,
-};
-use futurerd_core::replay::ReplayAlgorithm;
+use crate::{summary_from_counts, Algorithm, AnyObserver, Config, Detection, Outcome};
 use futurerd_dag::source::EventSource;
-use futurerd_dag::trace::{PrefixValidator, Trace, TraceEvent};
-use futurerd_runtime::ThreadPool;
-use futurerd_store::{DetectionPath, Store};
+use futurerd_dag::trace::{replay_events, PrefixValidator, Trace, TraceEvent};
+use futurerd_store::Store;
 
-/// The engine half of a session: the resident freezer plus the cached
-/// pass-2 results it amortizes across reports.
-#[derive(Debug)]
-struct EngineState {
-    freezer: IncrementalFreezer,
-    /// Cached per-partition outcomes of the last report (or the sidecar's),
-    /// covering the first `detected_accesses` granule accesses.
-    outcomes: Option<Vec<PartitionOutcome>>,
-    /// Granule accesses covered by `outcomes`.
-    detected_accesses: usize,
-    /// Stream position covered by `outcomes` (for append accounting).
-    detected_pos: usize,
-    /// True if the freezer was resumed from a persisted sidecar rather than
-    /// built by this session.
-    resumed: bool,
-}
-
-/// A long-lived, incrementally-fed detection session — one streaming API
-/// over run, replay and store.
+/// A long-lived, incrementally-fed detection session: one live detector
+/// that absorbs an execution's event stream as it grows.
 ///
 /// Open one from a [`Config`] ([`Config::session`], ephemeral) or from a
 /// [`Store`] entry ([`Config::open_session`], persistent),
 /// [`ingest`](Session::ingest) event chunks as the observed execution
-/// grows, and ask for a [`report`](Session::report) at any point. Each
-/// report is served from the cheapest valid path and says which one it
-/// took ([`Session::last_path`], [`Detection::path`]):
+/// grows, and ask for a [`report`](Session::report) at any point.
 ///
-/// * **warm-cached** — nothing relevant changed since the last report: the
-///   cached per-partition outcomes merge straight into the report;
-/// * **incremental** — the session's resident freezer has already absorbed
-///   the ingested suffix (freezing is *live*, spread over the appends,
-///   never repeated), so only detection partitions whose granule ranges
-///   the suffix touched re-run — with automatic re-partitioning once the
-///   access histogram drifts past
-///   [`REBALANCE_DRIFT_FACTOR`](futurerd_core::parallel::REBALANCE_DRIFT_FACTOR);
-/// * **warm-index / cold** — first report of a stored (resp. fresh)
-///   stream.
+/// MultiBags and MultiBags+ are on-the-fly algorithms (the paper's §4–5):
+/// their state absorbs each event in amortized near-constant time and can
+/// answer at any point of the stream. A session is exactly that: a prefix
+/// validator, the accumulated [`Trace`], and one live observer built from
+/// the [`Config`] — for every algorithm and analysis level. Each event is
+/// validated and detected on exactly once; a report snapshots the
+/// detector's state without consuming it, so later chunks continue where
+/// the last report left off.
 ///
-/// The report is **byte-identical** to one-shot [`Config::replay`] of the
-/// concatenated trace, for any chunking, at any thread count — the
-/// property tests assert this over random chunkings down to single events.
-///
-/// Algorithms without a frozen reachability form (the SP-Bags variants and
-/// the graph oracle) and partial analysis levels fall back to sequential
-/// replay of the accumulated trace on every report: always correct, never
-/// incremental — the reported path stays [`DetectionPath::Cold`].
+/// The report is **byte-identical** to one-shot sequential replay of the
+/// accumulated prefix, for any chunking — the property tests assert this
+/// after every chunk, over random chunkings down to single events.
 pub struct Session<'s> {
     config: Config,
     validator: PrefixValidator,
     trace: Trace,
-    engine: Option<EngineState>,
+    observer: AnyObserver,
     /// Store binding of a persistent session (plus its entry name).
     store: Option<(&'s mut Store, String)>,
-    /// Optional caller-managed worker pool for parallel detection.
-    pool: Option<&'s ThreadPool>,
-    /// Events ingested since the session state was last persisted.
+    /// Events ingested since the trace was last saved to the store.
     dirty: bool,
-    last_path: Option<DetectionPath>,
     /// Wall time spent inside [`Session::ingest`] while observability
     /// recording was enabled — feeds the `session.ingest.events_per_sec`
     /// gauge. Stays zero (and costs nothing) when recording is off.
@@ -86,7 +50,6 @@ impl std::fmt::Debug for Session<'_> {
             .field("events", &self.validator.position())
             .field("complete", &self.validator.is_complete())
             .field("stored", &self.store.as_ref().map(|(_, name)| name))
-            .field("last_path", &self.last_path)
             .finish_non_exhaustive()
     }
 }
@@ -94,11 +57,6 @@ impl std::fmt::Debug for Session<'_> {
 impl Config {
     /// Opens an **ephemeral** detection session for this configuration: all
     /// state lives in memory and dies with the session.
-    ///
-    /// Full-detection MultiBags / MultiBags+ sessions keep a resident
-    /// incremental freezer, so repeated [`Session::report`] calls across
-    /// [`Session::ingest`]s never re-freeze already-seen events. Other
-    /// algorithms and partial analyses replay sequentially per report.
     ///
     /// # Example
     ///
@@ -120,100 +78,41 @@ impl Config {
     /// assert_eq!(detection.race_count(), 1);
     /// ```
     pub fn session(self) -> Session<'static> {
-        let engine = (self.analysis == Analysis::Full)
-            .then(|| IncrementalFreezer::new(replay_algorithm(self.algorithm)))
-            .flatten()
-            .map(|freezer| EngineState {
-                freezer,
-                outcomes: None,
-                detected_accesses: 0,
-                detected_pos: 0,
-                resumed: false,
-            });
         Session {
             config: self,
             validator: PrefixValidator::new(),
             trace: Trace::new(),
-            engine,
+            observer: self.build_observer(),
             store: None,
-            pool: None,
             dirty: false,
-            last_path: None,
             ingest_ns: 0,
         }
     }
 
     /// Opens a **persistent** detection session on a [`Store`] entry.
     ///
-    /// The session resumes from the entry's `FRDIDX` sidecar when one is
-    /// valid (so a re-opened session starts warm, not cold), keeps the
-    /// freezer resident across [`Session::ingest`]s, and persists refreshed
-    /// state — the grown trace, the freezer, the cached outcomes — back to
-    /// the store on every [`Session::report`] that changed it. The store's
-    /// [`stats`](Store::stats) account the session's requests exactly like
-    /// [`Store::detect`] traffic.
+    /// The stored trace is loaded and replayed into a fresh detector, so
+    /// the session resumes at the persisted length. Every
+    /// [`Session::report`] that follows an ingest saves the grown trace
+    /// back to the entry ([`Store::put_trace`]); a later open resumes from
+    /// there. Sessions read and write no `FRDIDX` sidecar — those belong to
+    /// [`Store::detect`] (and [`Config::replay_stored`]).
     ///
-    /// Persistent sessions are full-detection only and need a freezable
-    /// algorithm: partial analyses return [`Error::Unsupported`] and the
-    /// SP-Bags variants / graph oracle return the store's
-    /// [`Unfreezable`](futurerd_store::StoreError::Unfreezable) error.
+    /// Every algorithm and analysis level is accepted, exactly as for
+    /// [`Config::session`].
     pub fn open_session<'s>(self, store: &'s mut Store, name: &str) -> Result<Session<'s>, Error> {
-        if self.analysis != Analysis::Full {
-            return Err(Error::unsupported(
-                "persistent sessions always run full detection; \
-                 use Config::replay (or an ephemeral session) for partial analyses",
-            ));
-        }
-        let algorithm = replay_algorithm(self.algorithm);
-        let state = store.open_session_state(name, algorithm)?;
-        let resumed = state.freezer.is_some();
-        let mut freezer = match state.freezer {
-            Some(freezer) => freezer,
-            None => IncrementalFreezer::new(algorithm).expect("open_session_state checked"),
-        };
-        let frozen_pos = freezer.position() as usize;
-        let (outcomes, detected_accesses) = match state.outcomes {
-            Some(outcomes) => (Some(outcomes), freezer.accesses().len()),
-            None => (None, 0),
-        };
-        let mut validator = PrefixValidator::new();
-        validator.extend(state.trace.events())?;
-        extend_freezer_pooled(
-            &mut freezer,
-            &state.trace.events()[frozen_pos..],
-            self.threads,
-            None,
-        );
-        Ok(Session {
-            config: self,
-            validator,
-            trace: state.trace,
-            engine: Some(EngineState {
-                freezer,
-                outcomes,
-                detected_accesses,
-                // With no cached outcomes the resumed *index* still covers
-                // the frozen prefix — append accounting starts there.
-                detected_pos: frozen_pos,
-                resumed,
-            }),
+        let trace = store.load_trace(name)?;
+        let mut session = Session {
             store: Some((store, name.to_string())),
-            pool: None,
-            dirty: false,
-            last_path: None,
-            ingest_ns: 0,
-        })
+            ..self.session()
+        };
+        session.ingest(trace.events())?;
+        session.dirty = false;
+        Ok(session)
     }
 }
 
-impl<'s> Session<'s> {
-    /// Runs this session's parallel detection workers on `pool` instead of
-    /// the process-shared pool of [`Config::threads`]'s size.
-    pub fn on_pool(mut self, pool: &'s ThreadPool) -> Session<'s> {
-        self.pool = Some(pool);
-        self
-    }
-
+impl Session<'_> {
     /// The configuration this session detects under.
     pub fn config(&self) -> Config {
         self.config
@@ -240,19 +139,17 @@ impl<'s> Session<'s> {
         &self.trace
     }
 
-    /// How the most recent [`Session::report`] was served, if one ran.
-    pub fn last_path(&self) -> Option<DetectionPath> {
-        self.last_path
+    /// True once the stream has created a future.
+    fn saw_future(&self) -> bool {
+        self.validator.counts().creates > 0
     }
 
     /// Ingests the next chunk of the execution's event stream.
     ///
     /// The chunk is validated as the continuation of the canonical
-    /// serial-DF prefix seen so far (the validator is session state — each
-    /// event is validated exactly once, however many chunks the stream
-    /// arrives in) and fed straight into the resident freezer. Ingest does
-    /// **no detection work** beyond the freeze; call
-    /// [`report`](Session::report) when a verdict is wanted.
+    /// serial-DF prefix seen so far, then fed to the live detector: each
+    /// event is validated and detected on exactly once, however many
+    /// chunks the stream arrives in.
     ///
     /// On a validation error the chunk's valid prefix is retained, the
     /// offending event and everything after it are dropped, and the session
@@ -271,9 +168,11 @@ impl<'s> Session<'s> {
         let accepted = &events[..self.validator.position() - before];
         if !accepted.is_empty() {
             self.trace.extend_events(accepted);
-            let (threads, pool) = (self.config.threads, self.pool);
-            if let Some(engine) = &mut self.engine {
-                extend_freezer_pooled(&mut engine.freezer, accepted, threads, pool);
+            // SP-Bags has no transition for futures: once the stream holds
+            // one, reports refuse, so the detector must never see it.
+            if !(self.config.algorithm == Algorithm::SpBags && self.saw_future()) {
+                let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
+                replay_events(accepted, &mut self.observer);
             }
             self.dirty = true;
         }
@@ -313,178 +212,41 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Detects races on everything ingested so far and returns the
-    /// [`Detection`], with [`Detection::path`] saying how the request was
-    /// served. The report is byte-identical to one-shot
-    /// [`Config::replay`] of the accumulated trace.
+    /// Reports on everything ingested so far by snapshotting the live
+    /// detector; the session keeps absorbing later chunks. The report is
+    /// byte-identical to one-shot [`Config::replay`] of the accumulated
+    /// trace. A persistent session first saves its grown trace to the
+    /// store.
     ///
     /// Incomplete streams are fine: a report on a prefix reflects the
-    /// execution so far and a later report continues incrementally from it.
+    /// execution so far. [`Algorithm::SpBags`] returns
+    /// [`Error::Unsupported`] once the stream contains a future.
     pub fn report(&mut self) -> Result<Detection<()>, Error> {
-        let counts = self.validator.counts();
-        let summary = summary_from_counts(&counts);
-        let detection = match self.engine.take() {
-            Some(engine) => {
-                // The engine (resident freezer + caches) goes back into the
-                // session whether or not the report succeeded: a transient
-                // failure (e.g. persisting to a full disk) must not degrade
-                // every later report to a cold sequential replay.
-                let (engine, result) = self.engine_report(engine, summary);
-                self.engine = Some(engine);
-                result?
+        if self.dirty {
+            if let Some((store, name)) = &mut self.store {
+                store.put_trace(name, &self.trace)?;
             }
-            None => self.sequential_report(summary)?,
-        };
-        self.last_path = detection.path;
-        Ok(detection)
-    }
-
-    /// The engine path: resident freezer + sharded pass 2 with cached
-    /// outcomes, routed warm-cached → incremental → warm-index/cold.
-    /// Always hands the engine back, even on error.
-    fn engine_report(
-        &mut self,
-        mut engine: EngineState,
-        summary: futurerd_runtime::exec::ExecutionSummary,
-    ) -> (EngineState, Result<Detection<()>, Error>) {
-        let started = futurerd_obs::recording().then(std::time::Instant::now);
-        let threads = self.config.threads;
-        let shared_pool = (self.pool.is_none() && threads > 1).then(|| ThreadPool::shared(threads));
-        let executor = match (self.pool, &shared_pool) {
-            (Some(pool), _) => AnyExec::Pool(PoolExecutor(pool)),
-            (None, Some(pool)) => AnyExec::Pool(PoolExecutor(pool)),
-            (None, None) => AnyExec::Std(StdExecutor),
-        };
-
-        let accesses_len = engine.freezer.accesses().len();
-        let appended_events = self.validator.position() - engine.detected_pos;
-        let (outcomes, path) = match engine.outcomes.take() {
-            Some(stored) if engine.detected_accesses == accesses_len => {
-                // Nothing detection-relevant changed since the cached
-                // outcomes were computed.
-                (stored, DetectionPath::WarmCached)
-            }
-            Some(stored) if !stored.is_empty() => {
-                let index = engine.freezer.snapshot_index();
-                let accesses = engine.freezer.accesses();
-                let fresh = &accesses[engine.detected_accesses..];
-                let IncrementalOutcomes {
-                    outcomes,
-                    rerun,
-                    reused,
-                    rebalanced,
-                } = incremental_outcomes(&index, accesses, fresh, stored, threads, &executor);
-                (
-                    outcomes,
-                    DetectionPath::Incremental {
-                        appended_events,
-                        rerun,
-                        reused,
-                        rebalanced,
-                    },
-                )
-            }
-            _ => {
-                // First detection (or an empty cached set): run pass 2 in
-                // full over the resident freeze.
-                let index = engine.freezer.snapshot_index();
-                let outcomes =
-                    detect_frozen_outcomes(&index, engine.freezer.accesses(), threads, &executor);
-                let path = if engine.resumed && appended_events == 0 {
-                    DetectionPath::WarmIndex
-                } else if engine.resumed {
-                    DetectionPath::Incremental {
-                        appended_events,
-                        rerun: outcomes.len(),
-                        reused: 0,
-                        rebalanced: false,
-                    }
-                } else {
-                    DetectionPath::Cold
-                };
-                (outcomes, path)
-            }
-        };
-
-        let (report, detector_stats) = merge_outcomes_stats(outcomes.iter().cloned());
-        if let Some(started) = started {
-            // The report's compute time, attributed to the path the routing
-            // chose — span names must be `'static`, so map the kind onto
-            // the fixed `session.report.*` stage set. `record_stage` feeds
-            // both the aggregate stats and the interval journal.
-            let stage = match path {
-                DetectionPath::Cold => futurerd_obs::names::SESSION_REPORT_COLD,
-                DetectionPath::WarmIndex => futurerd_obs::names::SESSION_REPORT_WARM_INDEX,
-                DetectionPath::WarmCached => futurerd_obs::names::SESSION_REPORT_WARM_CACHED,
-                DetectionPath::Incremental { .. } => {
-                    futurerd_obs::names::SESSION_REPORT_INCREMENTAL
-                }
-            };
-            futurerd_obs::record_stage(stage, started);
-            futurerd_obs::counter_add(&format!("session.path.{}", path.kind_key()), 1);
-            detector_stats.export_metrics("detector");
-            if let AnyExec::Pool(PoolExecutor(pool)) = &executor {
-                pool.export_worker_metrics("pool");
-            }
+            self.dirty = false;
         }
-        let mut persist_error = None;
-        if let Some((store, name)) = &mut self.store {
-            store.record_path(path);
-            if self.dirty || path != DetectionPath::WarmCached {
-                persist_error = store
-                    .persist_session(name, &self.trace, &engine.freezer, outcomes.clone())
-                    .err();
-            }
-            store.stats().export_metrics("store");
-        }
-        // Cache the computed outcomes regardless: the in-memory state is
-        // valid even when writing it to disk failed, so the session keeps
-        // reporting incrementally (and keeps `dirty`, so the next
-        // successful report persists everything).
-        engine.outcomes = Some(outcomes);
-        engine.detected_accesses = accesses_len;
-        engine.detected_pos = self.validator.position();
-        engine.resumed = true;
-        if let Some(error) = persist_error {
-            return (engine, Err(error.into()));
-        }
-        self.dirty = false;
-
-        let detection = Detection {
-            value: (),
-            summary,
-            config: self.config,
-            report: Some(report),
-            reach_stats: None,
-            detector_stats: Some(detector_stats),
-            path: Some(path),
-        };
-        (engine, Ok(detection))
-    }
-
-    /// The fallback path: replay the accumulated trace through the
-    /// configured observer from scratch — always correct, never
-    /// incremental.
-    fn sequential_report(
-        &mut self,
-        summary: futurerd_runtime::exec::ExecutionSummary,
-    ) -> Result<Detection<()>, Error> {
-        if self.config.algorithm == Algorithm::SpBags && self.trace.has_futures() {
+        let saw_future = self.saw_future();
+        if self.config.algorithm == Algorithm::SpBags && saw_future {
             return Err(Error::unsupported(
                 "SP-Bags cannot consume traces that contain futures",
             ));
         }
-        let started = futurerd_obs::recording().then(std::time::Instant::now);
-        let mut observer = self.config.build_observer();
-        futurerd_dag::trace::replay_events(self.trace.events(), &mut observer);
-        let crate::Outcome {
+        let Outcome {
             mut report,
             reach_stats,
             detector_stats,
-        } = observer.into_outcome();
-        if let Some(started) = started {
-            futurerd_obs::record_stage(futurerd_obs::names::SESSION_REPORT_COLD, started);
-            futurerd_obs::counter_add("session.path.cold", 1);
+        } = self.observer.outcome();
+        if self.config.algorithm == Algorithm::SpBagsConservative && saw_future {
+            // The conservative fallback folded futures into fork-join
+            // constructs: the verdict is approximate by construction.
+            if let Some(report) = report.as_mut() {
+                report.mark_approximate();
+            }
+        }
+        if futurerd_obs::enabled() {
             if let Some(stats) = &reach_stats {
                 stats.export_metrics("reach");
             }
@@ -492,90 +254,25 @@ impl<'s> Session<'s> {
                 stats.export_metrics("detector");
             }
         }
-        if self.config.algorithm == Algorithm::SpBagsConservative && self.trace.has_futures() {
-            // The conservative fallback folded futures into fork-join
-            // constructs: the verdict is approximate by construction.
-            if let Some(report) = report.as_mut() {
-                report.mark_approximate();
-            }
-        }
         Ok(Detection {
             value: (),
-            summary,
+            summary: summary_from_counts(&self.validator.counts()),
             config: self.config,
             report,
             reach_stats,
             detector_stats,
-            path: Some(DetectionPath::Cold),
+            path: None,
         })
     }
-}
-
-/// Maps the facade's algorithm enum onto the replay layer's.
-pub(crate) fn replay_algorithm(algorithm: Algorithm) -> ReplayAlgorithm {
-    match algorithm {
-        Algorithm::MultiBags => ReplayAlgorithm::MultiBags,
-        Algorithm::MultiBagsPlus => ReplayAlgorithm::MultiBagsPlus,
-        Algorithm::SpBags => ReplayAlgorithm::SpBags,
-        Algorithm::SpBagsConservative => ReplayAlgorithm::SpBagsConservative,
-        Algorithm::GraphOracle => ReplayAlgorithm::GraphOracle,
-    }
-}
-
-/// The session's runtime executor choice: the caller's (or shared) pool
-/// when detection is parallel, scoped threads otherwise.
-enum AnyExec<'p> {
-    Pool(PoolExecutor<'p>),
-    Std(StdExecutor),
-}
-
-impl DetectExecutor for AnyExec<'_> {
-    fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        match self {
-            AnyExec::Pool(pool) => pool.run_batch(tasks),
-            AnyExec::Std(std) => std.run_batch(tasks),
-        }
-    }
-}
-
-impl AssistExecutor for AnyExec<'_> {
-    fn assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
-        match self {
-            AnyExec::Pool(pool) => pool.assist(helpers, body),
-            AnyExec::Std(std) => std.assist(helpers, body),
-        }
-    }
-}
-
-/// Extends a resident freezer with an event chunk, routing large
-/// closure-stamping batches through pool workers when the session is
-/// configured for parallel detection (`threads > 1`): the caller's pool if
-/// one was attached via [`Session::on_pool`], the process-shared pool of
-/// the configured size otherwise. At `threads == 1` this is a plain
-/// sequential [`IncrementalFreezer::extend`] — no batch dispatch at all.
-/// Either way the frozen state is byte-identical.
-fn extend_freezer_pooled(
-    freezer: &mut IncrementalFreezer,
-    events: &[TraceEvent],
-    threads: usize,
-    pool: Option<&ThreadPool>,
-) {
-    if threads <= 1 {
-        freezer.extend(events);
-        return;
-    }
-    let shared = pool.is_none().then(|| ThreadPool::shared(threads));
-    let pool = pool.unwrap_or_else(|| shared.as_deref().expect("just built"));
-    let executor = PoolExecutor(pool);
-    freezer.extend_assisted(events, &FreezeAssist::new(threads, &executor));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{record, Cx, ShadowCell};
+    use crate::{record, Analysis, Cx, ShadowCell};
+    use futurerd_core::replay::{replay_detect_unchecked, ReplayAlgorithm};
     use futurerd_dag::source::ChunkedEvents;
-    use futurerd_dag::{FunctionId, MemAddr, StrandId};
+    use futurerd_dag::StrandId;
 
     fn racy_body(cx: &mut Cx) -> u32 {
         let mut cell = ShadowCell::new(cx, 0u32);
@@ -594,54 +291,72 @@ mod tests {
         Store::open(dir).expect("store opens")
     }
 
+    /// One-shot sequential replay of `events`, rendered.
+    fn one_shot(events: &[TraceEvent], algorithm: ReplayAlgorithm) -> String {
+        let mut prefix = Trace::new();
+        prefix.extend_events(events);
+        replay_detect_unchecked(&prefix, algorithm).to_string()
+    }
+
+    /// Every file name in the store's directory, sorted.
+    fn store_files(store: &Store) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(store.root())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn chunked_ingest_matches_one_shot_replay() {
         let recorded = record(racy_body);
-        let one_shot = Config::structured().replay(&recorded.trace).unwrap();
+        let events = recorded.trace.events();
+        let one_shot_full = Config::structured().replay(&recorded.trace).unwrap();
         for chunk_size in [1, 3, recorded.trace.len()] {
             let mut session = Config::structured().session();
-            for chunk in recorded.trace.events().chunks(chunk_size) {
+            for chunk in events.chunks(chunk_size) {
                 session.ingest(chunk).unwrap();
+                let prefix = &events[..session.len()];
+                assert_eq!(
+                    session.report().unwrap().report().to_string(),
+                    one_shot(prefix, ReplayAlgorithm::MultiBags),
+                    "chunk size {chunk_size} at {}",
+                    session.len()
+                );
             }
             assert!(session.is_complete());
             let detection = session.report().unwrap();
-            assert_eq!(
-                detection.report().to_string(),
-                one_shot.report().to_string(),
-                "chunk size {chunk_size}"
-            );
-            assert_eq!(detection.summary, one_shot.summary);
-            assert_eq!(detection.path, Some(DetectionPath::Cold));
+            assert_eq!(detection.summary, one_shot_full.summary);
+            assert_eq!(detection.path, None, "sessions have nothing to route");
         }
     }
 
     #[test]
     fn live_session_never_refreezes_across_appends() {
+        // One detector absorbs every append: reporting in between neither
+        // consumes it nor replays what it has already seen.
         let recorded = record(racy_body);
         let events = recorded.trace.events();
         let cut = events.len() / 2;
-        let mut session = Config::structured().session();
+        let mut session = Config::general().session();
 
         session.ingest(&events[..cut]).unwrap();
         let first = session.report().unwrap();
-        assert_eq!(first.path, Some(DetectionPath::Cold));
+        assert_eq!(
+            first.report().to_string(),
+            one_shot(&events[..cut], ReplayAlgorithm::MultiBagsPlus)
+        );
 
         session.ingest(&events[cut..]).unwrap();
         let second = session.report().unwrap();
-        assert!(
-            matches!(second.path, Some(DetectionPath::Incremental { .. })),
-            "{:?}",
-            second.path
-        );
-        // A report with nothing new ingested is fully cached.
         let third = session.report().unwrap();
-        assert_eq!(third.path, Some(DetectionPath::WarmCached));
-        assert_eq!(session.last_path(), third.path);
-
-        let one_shot = Config::structured().replay(&recorded.trace).unwrap();
+        let full = one_shot(events, ReplayAlgorithm::MultiBagsPlus);
         for d in [&second, &third] {
-            assert_eq!(d.report().to_string(), one_shot.report().to_string());
+            assert_eq!(d.report().to_string(), full);
         }
+        assert_eq!(second.detector_stats, third.detector_stats);
+        assert_eq!(second.race_count(), 1);
     }
 
     #[test]
@@ -696,134 +411,33 @@ mod tests {
 
         let mut store = temp_store("resume");
         store.put_trace("grow", &prefix).unwrap();
+        let before = store_files(&store);
 
-        // First session: cold, then ingest the rest incrementally.
         let mut session = Config::structured()
             .open_session(&mut store, "grow")
             .unwrap();
         assert_eq!(session.len(), cut);
-        let first = session.report().unwrap();
-        assert_eq!(first.path, Some(DetectionPath::Cold));
         session.ingest(&events[cut..]).unwrap();
-        let second = session.report().unwrap();
-        assert!(
-            matches!(second.path, Some(DetectionPath::Incremental { .. })),
-            "{:?}",
-            second.path
-        );
+        let grown = session.report().unwrap();
         drop(session);
 
-        // Re-opened session resumes from the persisted sidecar: no freeze,
-        // no detection — the first report is fully cached.
+        // A re-opened session resumes at the persisted length, with the
+        // detector already fed: the same report, no ingest needed.
         let mut session = Config::structured()
             .open_session(&mut store, "grow")
             .unwrap();
+        assert_eq!(session.len(), events.len());
         assert!(session.is_complete(), "appends were persisted");
-        let third = session.report().unwrap();
-        assert_eq!(third.path, Some(DetectionPath::WarmCached));
+        let resumed = session.report().unwrap();
         drop(session);
 
-        let one_shot = Config::structured().replay(&recorded.trace).unwrap();
-        assert_eq!(second.report().to_string(), one_shot.report().to_string());
-        assert_eq!(third.report().to_string(), one_shot.report().to_string());
-
-        // The store accounted the session traffic: exactly one cold freeze
-        // over the whole life of the entry.
-        let stats = store.stats();
-        assert_eq!(stats.cold_freezes, 1);
-        assert_eq!(stats.incremental_refreezes, 1);
-        assert_eq!(stats.warm_cached_hits, 1);
+        let full = one_shot(events, ReplayAlgorithm::MultiBags);
+        assert_eq!(grown.report().to_string(), full);
+        assert_eq!(resumed.report().to_string(), full);
+        // Sessions save the trace only: no sidecar, no store traffic.
+        assert_eq!(store_files(&store), before);
+        assert_eq!(store.stats(), futurerd_store::StoreStats::default());
         std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    #[test]
-    fn stored_sessions_require_full_analysis_and_freezable_algorithms() {
-        let mut store = temp_store("reject");
-        store.put_trace("t", &record(racy_body).trace).unwrap();
-        let err = Config::structured()
-            .analysis(Analysis::Reachability)
-            .open_session(&mut store, "t")
-            .expect_err("partial analyses have no stored index");
-        assert!(err.is_unsupported(), "{err}");
-        let err = Config::new()
-            .algorithm(Algorithm::GraphOracle)
-            .open_session(&mut store, "t")
-            .expect_err("no frozen form");
-        assert!(err.is_store(), "{err}");
-        std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    /// A synthetic single-strand trace: `ProgramStart`/`StrandStart`, then
-    /// one write per address in `addrs` (still executing — a canonical
-    /// prefix, extendable).
-    fn write_prefix(addrs: &[u64]) -> Vec<TraceEvent> {
-        let mut events = vec![
-            TraceEvent::ProgramStart {
-                root: FunctionId(0),
-                first: StrandId(0),
-            },
-            TraceEvent::StrandStart {
-                strand: StrandId(0),
-                function: FunctionId(0),
-            },
-        ];
-        events.extend(addrs.iter().map(|&a| TraceEvent::Write {
-            strand: StrandId(0),
-            addr: MemAddr(a),
-            size: 4,
-        }));
-        events
-    }
-
-    #[test]
-    fn histogram_drift_triggers_partition_rebalancing() {
-        let g = MemAddr::GRANULARITY;
-        // 40 granules touched once: P=4 partitions of ~10 accesses each.
-        let spread: Vec<u64> = (0..40u64).map(|i| i * g).collect();
-        let mut session = Config::structured().threads(4).session();
-        session.ingest(&write_prefix(&spread)).unwrap();
-        let first = session.report().unwrap();
-        assert_eq!(first.path, Some(DetectionPath::Cold));
-
-        // Hammer one granule: the first partition's load drifts far past
-        // its fair share, so the session re-partitions.
-        let hot: Vec<TraceEvent> = (0..100)
-            .map(|_| TraceEvent::Write {
-                strand: StrandId(0),
-                addr: MemAddr(0),
-                size: 4,
-            })
-            .collect();
-        session.ingest(&hot).unwrap();
-        let second = session.report().unwrap();
-        match second.path {
-            Some(DetectionPath::Incremental { rebalanced, .. }) => {
-                assert!(rebalanced, "{:?}", second.path)
-            }
-            other => panic!("expected incremental, got {other:?}"),
-        }
-        // Identical answer regardless: single-strand writes are race-free.
-        assert!(second.is_race_free());
-
-        // A balanced append in a fresh session does not re-partition.
-        let mut session = Config::structured().threads(4).session();
-        session.ingest(&write_prefix(&spread)).unwrap();
-        session.report().unwrap();
-        let mild: Vec<TraceEvent> = [5u64, 15, 25, 35]
-            .map(|granule| TraceEvent::Write {
-                strand: StrandId(0),
-                addr: MemAddr(granule * g),
-                size: 4,
-            })
-            .into();
-        session.ingest(&mild).unwrap();
-        let third = session.report().unwrap();
-        match third.path {
-            Some(DetectionPath::Incremental { rebalanced, .. }) => {
-                assert!(!rebalanced, "{:?}", third.path)
-            }
-            other => panic!("expected incremental, got {other:?}"),
-        }
     }
 
     #[test]
@@ -841,35 +455,61 @@ mod tests {
                 .unwrap();
             let par_stats = parallel
                 .detector_stats
-                .expect("engine paths aggregate partition counters");
+                .expect("full detection reports access-history counters");
             assert_eq!(par_stats.read_checks, seq_stats.read_checks, "P={threads}");
             assert_eq!(par_stats.write_checks, seq_stats.write_checks);
             assert_eq!(par_stats.readers_recorded, seq_stats.readers_recorded);
             assert_eq!(par_stats.readers_cleared, seq_stats.readers_cleared);
             assert_eq!(par_stats.races_found, seq_stats.races_found);
-            assert!(par_stats.shadow_pages >= seq_stats.shadow_pages);
+            assert_eq!(par_stats.shadow_pages, seq_stats.shadow_pages);
         }
     }
 
     #[test]
     fn fallback_algorithms_session_and_error_semantics() {
-        // Oracle sessions replay sequentially per report (always Cold).
+        // The oracle runs in a session like any other algorithm.
         let recorded = record(racy_body);
         let mut session = Config::new().algorithm(Algorithm::GraphOracle).session();
         session.ingest(recorded.trace.events()).unwrap();
         let d = session.report().unwrap();
-        assert_eq!(d.path, Some(DetectionPath::Cold));
         assert_eq!(d.race_count(), 1);
-        assert!(d.reach_stats.is_some(), "sequential paths keep full stats");
+        assert!(d.reach_stats.is_some(), "live detectors keep full stats");
 
-        // SP-Bags refuses futures at report time with the unified error.
+        // SP-Bags refuses futures at report time with the unified error,
+        // and keeps refusing as the stream grows.
         let futures = record(|cx| {
             let fut = cx.create_future(|_| 1u32);
             cx.get_future(fut)
         });
+        let events = futures.trace.events();
         let mut session = Config::new().algorithm(Algorithm::SpBags).session();
-        session.ingest(futures.trace.events()).unwrap();
+        session.ingest(&events[..events.len() - 1]).unwrap();
         assert!(session.report().unwrap_err().is_unsupported());
+        session.ingest(&events[events.len() - 1..]).unwrap();
+        assert!(session.report().unwrap_err().is_unsupported());
+    }
+
+    #[test]
+    fn stored_sessions_accept_every_algorithm_and_analysis() {
+        let recorded = record(racy_body);
+        let mut store = temp_store("any-config");
+        store.put_trace("t", &recorded.trace).unwrap();
+        let before = store_files(&store);
+        for config in [
+            Config::new().algorithm(Algorithm::GraphOracle),
+            Config::new().algorithm(Algorithm::SpBagsConservative),
+            Config::general().analysis(Analysis::Reachability),
+        ] {
+            let mut session = config.open_session(&mut store, "t").unwrap();
+            assert!(session.is_complete(), "{config:?}");
+            let stored = session.report().unwrap();
+            drop(session);
+            let direct = config.replay(&recorded.trace).unwrap();
+            assert_eq!(stored.report, direct.report, "{config:?}");
+            assert_eq!(stored.reach_stats, direct.reach_stats, "{config:?}");
+        }
+        assert_eq!(store_files(&store), before, "sessions never write sidecars");
+        std::fs::remove_dir_all(store.root()).ok();
     }
 
     #[test]

@@ -29,14 +29,15 @@
 //! |-------------|--------------------------------------------------------|
 //! | `validate`  | trace/prefix validation                                |
 //! | `freeze`    | pass-1 freeze replay (one-shot or incremental extend)  |
-//! | `detect`    | pass-2 sharded shadow-memory detection                 |
+//! | `detect`    | pass-2 sharded shadow-memory detection, or a session's |
+//! |             | live detector absorbing one ingested chunk             |
 //! | `merge`     | deterministic outcome merge                            |
 //!
 //! Nested and worker-side stages refine those: `freeze.assist.dispatch`
 //! (coordinator-side batch publication), `freeze.assist.stamp`
 //! (worker-side pull loops), `detect.partition` (per-partition tasks),
-//! `store.sidecar.encode` / `store.sidecar.decode`, and per-path report
-//! timings `session.report.cold|warm_index|warm_cached|incremental`.
+//! `store.sidecar.encode` / `store.sidecar.decode`, and per-path store
+//! timings `store.detect.cold|warm_index|warm_cached|incremental`.
 //!
 //! ## Thread attribution
 //!

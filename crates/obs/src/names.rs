@@ -19,7 +19,8 @@
 pub const VALIDATE: &str = "validate";
 /// Pass-1 freeze replay (one-shot or incremental extend).
 pub const FREEZE: &str = "freeze";
-/// Pass-2 sharded shadow-memory detection.
+/// Pass-2 sharded shadow-memory detection, or a session's live detector
+/// absorbing one ingested chunk.
 pub const DETECT: &str = "detect";
 /// Deterministic outcome merge.
 pub const MERGE: &str = "merge";
@@ -45,15 +46,6 @@ pub const STORE_DETECT_INCREMENTAL: &str = "store.detect.incremental";
 pub const STORE_SIDECAR_ENCODE: &str = "store.sidecar.encode";
 /// Sidecar deserialization.
 pub const STORE_SIDECAR_DECODE: &str = "store.sidecar.decode";
-
-/// Session report timing, cold path.
-pub const SESSION_REPORT_COLD: &str = "session.report.cold";
-/// Session report timing, warm-index path.
-pub const SESSION_REPORT_WARM_INDEX: &str = "session.report.warm_index";
-/// Session report timing, warm-cached path.
-pub const SESSION_REPORT_WARM_CACHED: &str = "session.report.warm_cached";
-/// Session report timing, incremental path.
-pub const SESSION_REPORT_INCREMENTAL: &str = "session.report.incremental";
 
 // --- Counters ---------------------------------------------------------------
 
@@ -95,13 +87,8 @@ pub const MANIFEST: &[&str] = &[
     STORE_DETECT_INCREMENTAL,
     STORE_SIDECAR_ENCODE,
     STORE_SIDECAR_DECODE,
-    SESSION_REPORT_COLD,
-    SESSION_REPORT_WARM_INDEX,
-    SESSION_REPORT_WARM_CACHED,
-    SESSION_REPORT_INCREMENTAL,
     // Counters.
     SESSION_INGEST_EVENTS,
-    "session.path.*",
     "store.path.*",
     FREEZE_ASSIST_BATCHES,
     FREEZE_ASSIST_INDEX_MISSES,

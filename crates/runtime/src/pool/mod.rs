@@ -520,7 +520,7 @@ impl ThreadPool {
     /// pool's workers — the entry point for driving *detection* work (not
     /// just capture) through the work-stealing scheduler: `futurerd-core`'s
     /// parallel replay engine hands its per-partition detection workers here
-    /// via the facade's `PoolExecutor`.
+    /// via `futurerd-store`'s `PoolExecutor`.
     ///
     /// Blocks until every task has finished. Tasks may borrow from the
     /// caller's stack (the `'env` lifetime); panics propagate like

@@ -269,9 +269,8 @@ impl DetectionPath {
     }
 
     /// Stable dotted-metric suffix for this path kind — the per-request
-    /// provenance counter names (`store.path.<kind>`,
-    /// `session.report.<kind>`) are built from it, so it never carries the
-    /// per-request parameters `Display` shows.
+    /// provenance counter names (`store.path.<kind>`) are built from it, so
+    /// it never carries the per-request parameters `Display` shows.
     pub fn kind_key(self) -> &'static str {
         match self {
             DetectionPath::Cold => "cold",
@@ -816,64 +815,9 @@ impl Store {
         }
     }
 
-    /// Opens the raw state a long-lived detection session resumes from: the
-    /// named trace plus — when a valid bound sidecar exists for `algorithm`
-    /// — the resident freezer and any cached partition outcomes.
-    ///
-    /// A session keeps the freezer *in memory* across appends instead of
-    /// round-tripping it through the sidecar per request; it writes state
-    /// back with [`Store::persist_session`] so a later open resumes warm.
-    pub fn open_session_state(
-        &mut self,
-        name: &str,
-        algorithm: ReplayAlgorithm,
-    ) -> Result<SessionState, StoreError> {
-        if !algorithm.freezable() {
-            return Err(StoreError::Unfreezable(algorithm));
-        }
-        let trace = self.load_trace(name)?;
-        let (freezer, outcomes) = match self.load_sidecar(name, algorithm, &trace) {
-            Some((freezer, outcomes)) => (Some(freezer), outcomes),
-            None => (None, None),
-        };
-        Ok(SessionState {
-            trace,
-            freezer,
-            outcomes,
-        })
-    }
-
-    /// Persists a session's current state: rewrites the trace file and the
-    /// freezer's algorithm sidecar (with its cached outcomes), so the next
-    /// [`Store::detect`] or session open is served warm.
-    pub fn persist_session(
-        &mut self,
-        name: &str,
-        trace: &Trace,
-        freezer: &IncrementalFreezer,
-        outcomes: Vec<PartitionOutcome>,
-    ) -> Result<(), StoreError> {
-        Self::check_name(name)?;
-        trace.save(self.trace_path(name))?;
-        let sidecar = self.make_sidecar(trace, freezer, outcomes);
-        let bytes = {
-            let _span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_SIDECAR_ENCODE);
-            codec::encode_sidecar(&sidecar)
-        };
-        futurerd_obs::counter_add(
-            futurerd_obs::names::STORE_SIDECAR_ENCODED_BYTES,
-            bytes.len() as u64,
-        );
-        std::fs::write(self.sidecar_path(name, freezer.algorithm()), bytes)?;
-        Ok(())
-    }
-
-    /// Folds one session-served detection into the store's work counters.
-    /// Sessions route requests through their resident state, so the store
-    /// only sees the resulting [`DetectionPath`]; this keeps the
-    /// cold/warm/incremental economics in [`Store::stats`] accurate for
-    /// session traffic too.
-    pub fn record_path(&mut self, path: DetectionPath) {
+    /// Folds one served request's [`DetectionPath`] into the store's work
+    /// counters.
+    fn record_path(&mut self, path: DetectionPath) {
         if futurerd_obs::enabled() {
             futurerd_obs::counter_add(&format!("store.path.{}", path.kind_key()), 1);
         }
@@ -896,18 +840,6 @@ impl Store {
     }
 }
 
-/// The raw state of a store-backed detection session (see
-/// [`Store::open_session_state`]).
-#[derive(Debug)]
-pub struct SessionState {
-    /// The stored trace as currently on disk.
-    pub trace: Trace,
-    /// The resident freezer resumed from the sidecar, if one was valid.
-    pub freezer: Option<IncrementalFreezer>,
-    /// Cached per-partition outcomes, if the sidecar carried them.
-    pub outcomes: Option<Vec<PartitionOutcome>>,
-}
-
 /// Runs full sharded detection over a frozen index, on the shared pool when
 /// `threads > 1`.
 fn full_outcomes(
@@ -917,7 +849,7 @@ fn full_outcomes(
 ) -> Vec<PartitionOutcome> {
     if threads > 1 {
         let pool = ThreadPool::shared(threads);
-        parallel::detect_frozen_outcomes(index, accesses, threads, &PoolExec(&pool))
+        parallel::detect_frozen_outcomes(index, accesses, threads, &PoolExecutor(&pool))
     } else {
         parallel::detect_frozen_outcomes(index, accesses, 1, &StdExecutor)
     }
@@ -934,22 +866,42 @@ fn incremental_on_pool(
 ) -> IncrementalOutcomes {
     if threads > 1 {
         let pool = ThreadPool::shared(threads);
-        parallel::incremental_outcomes(index, accesses, fresh, stored, threads, &PoolExec(&pool))
+        parallel::incremental_outcomes(
+            index,
+            accesses,
+            fresh,
+            stored,
+            threads,
+            &PoolExecutor(&pool),
+        )
     } else {
         parallel::incremental_outcomes(index, accesses, fresh, stored, 1, &StdExecutor)
     }
 }
 
-/// [`parallel::DetectExecutor`] over the shared work-stealing pool.
-struct PoolExec<'p>(&'p ThreadPool);
+/// Runs the parallel engine's work on a work-stealing [`ThreadPool`]:
+/// pass-2 detection partitions through [`ThreadPool::run_batch`] and
+/// pass-1 closure-stamping batches through [`ThreadPool::run_assist`].
+/// [`Store::detect`] uses it on the process-shared pool; it plugs into any
+/// `futurerd-core::parallel` entry point that takes an executor.
+#[derive(Clone, Copy)]
+pub struct PoolExecutor<'p>(pub &'p ThreadPool);
 
-impl parallel::DetectExecutor for PoolExec<'_> {
+impl std::fmt::Debug for PoolExecutor<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolExecutor")
+            .field("threads", &self.0.num_threads())
+            .finish()
+    }
+}
+
+impl parallel::DetectExecutor for PoolExecutor<'_> {
     fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
         self.0.run_batch(tasks);
     }
 }
 
-impl parallel::AssistExecutor for PoolExec<'_> {
+impl parallel::AssistExecutor for PoolExecutor<'_> {
     fn assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
         self.0.run_assist(helpers, body);
     }
@@ -962,7 +914,7 @@ impl parallel::AssistExecutor for PoolExec<'_> {
 fn extend_freezer(fz: &mut IncrementalFreezer, events: &[TraceEvent], threads: usize) {
     if threads > 1 {
         let pool = ThreadPool::shared(threads);
-        let executor = PoolExec(&pool);
+        let executor = PoolExecutor(&pool);
         fz.extend_assisted(events, &parallel::FreezeAssist::new(threads, &executor));
     } else {
         fz.extend(events);

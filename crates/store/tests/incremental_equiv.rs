@@ -155,3 +155,63 @@ fn incremental_equals_full_at_every_cut_of_a_small_program() {
         }
     }
 }
+
+/// A single-strand trace: `ProgramStart`/`StrandStart`, then one write per
+/// address in `addrs` (still executing — a canonical, extendable prefix).
+fn write_prefix(addrs: &[u64]) -> Trace {
+    use futurerd_dag::trace::TraceEvent;
+    use futurerd_dag::{FunctionId, MemAddr, StrandId};
+    let mut trace = Trace::new();
+    trace.push(TraceEvent::ProgramStart {
+        root: FunctionId(0),
+        first: StrandId(0),
+    });
+    trace.push(TraceEvent::StrandStart {
+        strand: StrandId(0),
+        function: FunctionId(0),
+    });
+    for &addr in addrs {
+        trace.push(TraceEvent::Write {
+            strand: StrandId(0),
+            addr: MemAddr(addr),
+            size: 4,
+        });
+    }
+    trace
+}
+
+#[test]
+fn histogram_drift_triggers_partition_rebalancing() {
+    use futurerd_dag::MemAddr;
+    let g = MemAddr::GRANULARITY;
+    let algorithm = ReplayAlgorithm::MultiBags;
+    // 40 granules touched once: P=4 partitions of ~10 accesses each.
+    let spread: Vec<u64> = (0..40u64).map(|i| i * g).collect();
+    let incremental = |appended: &[u64]| {
+        let mut store = temp_store("drift");
+        store
+            .put_trace("t", &write_prefix(&spread))
+            .expect("canonical");
+        let cold = store.detect("t", algorithm, 4).expect("prefix detects");
+        assert_eq!(cold.path, DetectionPath::Cold);
+        let events = write_prefix(appended).events()[2..].to_vec();
+        store.append_events("t", &events).expect("append validates");
+        let detection = store.detect("t", algorithm, 4).expect("re-detects");
+        // Single-strand writes are race-free whatever the partitioning.
+        assert!(detection.report.is_race_free());
+        std::fs::remove_dir_all(store.root()).ok();
+        detection.path
+    };
+
+    // Hammer one granule: the first partition's load drifts far past its
+    // fair share, so the store re-partitions.
+    match incremental(&[0; 100]) {
+        DetectionPath::Incremental { rebalanced, .. } => assert!(rebalanced),
+        other => panic!("expected incremental, got {other:?}"),
+    }
+    // A balanced append does not re-partition.
+    match incremental(&[5 * g, 15 * g, 25 * g, 35 * g]) {
+        DetectionPath::Incremental { rebalanced, .. } => assert!(!rebalanced),
+        other => panic!("expected incremental, got {other:?}"),
+    }
+}

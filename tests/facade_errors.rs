@@ -3,7 +3,7 @@
 //! corrupted on-disk state — returns a typed [`futurerd::Error`] (or a
 //! sensible empty verdict), and never panics.
 
-use futurerd::{record, Algorithm, Config, Cx, Store};
+use futurerd::{record, Algorithm, Config, Cx, DetectionPath, Store};
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::trace::TraceEvent;
 use futurerd_dag::{FunctionId, StrandId};
@@ -138,32 +138,34 @@ fn corrupted_sidecar_falls_back_to_cold_with_the_right_verdict() {
     let recorded = record(racy_body);
     let mut store = temp_store("bad-sidecar");
     store.put_trace("t", &recorded.trace).unwrap();
-    // First session persists an FRDIDX sidecar on report.
-    let mut session = Config::structured().open_session(&mut store, "t").unwrap();
-    let expected = session.report().unwrap();
-    drop(session);
+    // The first stored replay is cold and writes the FRDIDX sidecar.
+    let expected = Config::structured().replay_stored(&mut store, "t").unwrap();
+    assert_eq!(expected.path, Some(DetectionPath::Cold));
     let sidecar = store.sidecar_path("t", ReplayAlgorithm::MultiBags);
-    assert!(sidecar.exists(), "report persisted the index");
+    assert!(sidecar.exists(), "the store persisted the index");
 
-    // Garbage sidecar: a re-opened session must treat it as absent (cold
-    // resume), not crash or serve a wrong verdict from it.
+    // Garbage sidecar: the store must treat it as absent (cold), not crash
+    // or serve a wrong verdict from it.
     std::fs::write(&sidecar, b"FRDIDX?? definitely not an index").unwrap();
-    let mut session = Config::structured().open_session(&mut store, "t").unwrap();
-    let detection = session.report().expect("cold fallback still reports");
-    assert_eq!(detection.race_count(), expected.race_count());
+    let detection = Config::structured()
+        .replay_stored(&mut store, "t")
+        .expect("cold fallback still reports");
+    assert_eq!(detection.path, Some(DetectionPath::Cold));
     assert_eq!(
         detection.report().to_string(),
         expected.report().to_string()
     );
-    drop(session);
 
-    // Truncated sidecar: same fallback.
+    // Truncated sidecar (the cold request above rewrote a valid one): same
+    // fallback.
     let bytes = std::fs::read(&sidecar).unwrap();
     std::fs::write(&sidecar, &bytes[..bytes.len().min(16)]).unwrap();
-    let mut session = Config::structured().open_session(&mut store, "t").unwrap();
+    let detection = Config::structured().replay_stored(&mut store, "t").unwrap();
+    assert_eq!(detection.path, Some(DetectionPath::Cold));
     assert_eq!(
-        session.report().unwrap().race_count(),
-        expected.race_count()
+        detection.report().to_string(),
+        expected.report().to_string()
     );
+    assert_eq!(store.stats().invalidated_sidecars, 2);
     std::fs::remove_dir_all(store.root()).ok();
 }

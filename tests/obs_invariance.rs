@@ -117,9 +117,9 @@ fn one_shot_replay_is_byte_identical_with_metrics_on() {
 #[test]
 fn chunked_sessions_are_byte_identical_with_metrics_on() {
     let _guard = exclusive();
-    // A handful of shapes suffices here: chunked ingest drives the session
-    // through the cold-then-incremental serving paths, where most of the
-    // instrumentation (ingest counters, path timers, stats exports) lives.
+    // A handful of shapes suffices here: chunked ingest with a report per
+    // chunk drives the session's instrumentation (ingest counters and
+    // spans, stats exports) as often as possible.
     for (tag, trace) in shaped_traces().into_iter().step_by(3) {
         for algorithm in ALGORITHMS {
             for threads in THREADS {
@@ -286,17 +286,22 @@ fn enabled_runs_record_the_documented_stages() {
     let snapshot = futurerd_obs::snapshot();
     futurerd_obs::set_enabled(false);
 
-    for stage in ["validate", "freeze", "detect", "merge"] {
+    // A session validates and detects once per ingested chunk; it never
+    // freezes or merges.
+    for stage in ["validate", "detect"] {
         let stats = snapshot
             .stage(stage)
             .unwrap_or_else(|| panic!("stage '{stage}' missing from {snapshot:?}"));
         assert!(stats.count > 0, "{stage}: no spans closed");
         assert!(stats.min_ns <= stats.max_ns, "{stage}: inconsistent bounds");
     }
+    for stage in ["freeze", "merge"] {
+        assert!(snapshot.stage(stage).is_none(), "{stage} recorded");
+    }
     assert_eq!(
-        snapshot.metric("session.path.cold"),
-        Some(1),
-        "exactly one cold report expected"
+        snapshot.stage("detect").map(|stats| stats.count),
+        Some(trace.len().div_ceil(chunk) as u64),
+        "one detect span per chunk, never per event"
     );
     assert!(
         snapshot.metric("session.ingest.events") >= Some(trace.len() as u64),
@@ -311,7 +316,7 @@ fn enabled_runs_record_the_documented_stages() {
     // and carry the stage names through (formats are pinned exactly by the
     // golden tests in `crates/obs/tests/golden.rs`).
     let text = futurerd_obs::export_text(&snapshot);
-    assert!(text.contains("validate") && text.contains("session.path.cold"));
+    assert!(text.contains("validate") && text.contains("session.ingest.events"));
     let json = futurerd_obs::export_json_lines(&snapshot);
     assert!(json.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     let prom = futurerd_obs::export_prometheus(&snapshot);
