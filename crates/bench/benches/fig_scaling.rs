@@ -1,10 +1,14 @@
 //! Complexity ablation: micro-benchmarks of the reachability substrates
 //! (disjoint sets and the transitive-closure dag `R`) backing Theorems 4.1
-//! and 5.1, plus a detection-scaling sweep on `lcs`.
+//! and 5.1, of the access history (Section 3), plus a detection-scaling
+//! sweep on `lcs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use futurerd_bench::{bench_params, run_config, Algorithm, Config};
 use futurerd_core::reachability::RGraph;
+use futurerd_core::shadow::AccessHistory;
+use futurerd_core::AccessKind;
+use futurerd_dag::StrandId;
 use futurerd_dsu::DisjointSets;
 use futurerd_workloads::{FutureMode, WorkloadKind};
 use std::time::Duration;
@@ -72,6 +76,54 @@ fn rgraph_micro(c: &mut Criterion) {
     group.finish();
 }
 
+fn shadow_micro(c: &mut Criterion) {
+    let mut group = c.benchmark_group("substrate_shadow");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(1));
+    const ACCESSES: u32 = 10_000;
+    // No query ever races: the cases time the history alone.
+    let read = |h: &mut AccessHistory, granule: u64, strand: u32| {
+        h.access(granule, StrandId(strand), AccessKind::Read, |_, _| false)
+    };
+    // One strand re-reading one granule: after the first read, each access
+    // is the duplicate check on the packed word.
+    group.bench_function("reread_one_granule", |b| {
+        b.iter(|| {
+            let mut h = AccessHistory::new();
+            for _ in 0..ACCESSES {
+                read(&mut h, 0, 1);
+            }
+            h.stats().readers_recorded
+        })
+    });
+    // Sixteen strands read a granule (fifteen spill into a list), then a
+    // write checks and clears it; the next granule reuses the freed list.
+    group.bench_function("spill_then_clearing_write", |b| {
+        b.iter(|| {
+            let mut h = AccessHistory::new();
+            for granule in 0..u64::from(ACCESSES / 17) {
+                for strand in 0..16 {
+                    read(&mut h, granule, strand);
+                }
+                h.access(granule, StrandId(16), AccessKind::Write, |_, _| false);
+            }
+            h.stats().readers_cleared
+        })
+    });
+    // One first touch per page across 256 pages: page allocation dominates.
+    group.bench_function("sparse_first_touch_256_pages", |b| {
+        b.iter(|| {
+            let mut h = AccessHistory::new();
+            for page in 0..256u64 {
+                read(&mut h, (page << 12) + page, 1);
+            }
+            h.num_pages()
+        })
+    });
+    group.finish();
+}
+
 fn detection_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling_lcs_full_detection");
     group
@@ -108,5 +160,11 @@ fn detection_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, dsu_micro, rgraph_micro, detection_scaling);
+criterion_group!(
+    benches,
+    dsu_micro,
+    rgraph_micro,
+    shadow_micro,
+    detection_scaling
+);
 criterion_main!(benches);

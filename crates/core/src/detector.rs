@@ -235,68 +235,29 @@ impl RaceDetector<MultiBagsPlus> {
 }
 
 impl<R: Reachability> RaceDetector<R> {
-    fn handle_read(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
-        let reach = &mut self.reach;
-        let report = &mut self.report;
-        self.history
-            .for_each_granule(addr, size, |granule, state, stats| {
-                stats.read_checks += 1;
-                if let Some(writer) = state.last_writer {
-                    if !reach.precedes_current(writer) {
-                        stats.races_found += 1;
-                        report.record(Race {
-                            addr: MemAddr(granule * MemAddr::GRANULARITY),
-                            prior_strand: writer,
-                            prior_kind: AccessKind::Write,
-                            current_strand: strand,
-                            current_kind: AccessKind::Read,
-                        });
-                    }
+    /// Runs the Section 3 protocol on every granule the access covers,
+    /// answering the history's checks with reachability queries.
+    fn handle(&mut self, strand: StrandId, addr: MemAddr, size: usize, kind: AccessKind) {
+        let Self {
+            reach,
+            history,
+            report,
+        } = self;
+        for granule in addr.granules(size) {
+            history.access(granule, strand, kind, |prior, prior_kind| {
+                if reach.precedes_current(prior) {
+                    return false;
                 }
-                // Avoid appending the same strand repeatedly for consecutive
-                // reads; a strand needs to appear only once per write epoch.
-                if state.readers.last() != Some(&strand) {
-                    state.readers.push(strand);
-                    stats.readers_recorded += 1;
-                }
+                report.record(Race {
+                    addr: MemAddr(granule * MemAddr::GRANULARITY),
+                    prior_strand: prior,
+                    prior_kind,
+                    current_strand: strand,
+                    current_kind: kind,
+                });
+                true
             });
-    }
-
-    fn handle_write(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
-        let reach = &mut self.reach;
-        let report = &mut self.report;
-        self.history
-            .for_each_granule(addr, size, |granule, state, stats| {
-                stats.write_checks += 1;
-                let addr_of_granule = MemAddr(granule * MemAddr::GRANULARITY);
-                if let Some(writer) = state.last_writer {
-                    if !reach.precedes_current(writer) {
-                        stats.races_found += 1;
-                        report.record(Race {
-                            addr: addr_of_granule,
-                            prior_strand: writer,
-                            prior_kind: AccessKind::Write,
-                            current_strand: strand,
-                            current_kind: AccessKind::Write,
-                        });
-                    }
-                }
-                for &reader in &state.readers {
-                    if !reach.precedes_current(reader) {
-                        stats.races_found += 1;
-                        report.record(Race {
-                            addr: addr_of_granule,
-                            prior_strand: reader,
-                            prior_kind: AccessKind::Read,
-                            current_strand: strand,
-                            current_kind: AccessKind::Write,
-                        });
-                    }
-                }
-                stats.readers_cleared += state.readers.len() as u64;
-                state.readers.clear();
-                state.last_writer = Some(strand);
-            });
+        }
     }
 }
 
@@ -323,10 +284,10 @@ impl<R: Reachability> Observer for RaceDetector<R> {
         self.reach.on_get_future(ev);
     }
     fn on_read(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
-        self.handle_read(strand, addr, size);
+        self.handle(strand, addr, size, AccessKind::Read);
     }
     fn on_write(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
-        self.handle_write(strand, addr, size);
+        self.handle(strand, addr, size, AccessKind::Write);
     }
     fn on_program_end(&mut self, last: StrandId) {
         self.reach.on_program_end(last);

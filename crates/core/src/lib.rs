@@ -22,7 +22,7 @@
 //!     used in tests and ablations;
 //! * an **access history** ([`shadow::AccessHistory`]) storing, per
 //!   four-byte granule, the last writer and the list of readers since that
-//!   write (Section 3).
+//!   write, and running the Section 3 read/write protocol over them.
 //!
 //! The [`detector`] module glues the two together into observers that plug
 //! into the sequential executor, one per measurement configuration used in

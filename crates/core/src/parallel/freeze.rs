@@ -877,14 +877,14 @@ impl ReachIndex {
     /// frozen algorithm — the exact answer `precedes_current(u)` gave when
     /// the event at `pos` (an access by `v`) was replayed sequentially.
     pub fn precedes_at(&self, u: StrandId, v: StrandId, pos: u32) -> bool {
+        // A strand precedes itself, as in the live engines' fast path.
+        if u == v {
+            return true;
+        }
         match &self.inner {
-            // MultiBags answers from the bag tag alone (Figure 1): the
-            // current strand is not consulted.
+            // MultiBags answers from the bag tag alone (Figure 1).
             IndexInner::MultiBags(bags) => bags.in_s_bag_at(u, pos),
             IndexInner::MultiBagsPlus { dsp, nsp } => {
-                if u == v {
-                    return true;
-                }
                 // Figure 3: SP bags first, then the proxies against R.
                 if dsp.in_s_bag_at(u, pos) {
                     return true;
@@ -929,12 +929,12 @@ impl ReachIndex {
         {
             cursor.last_pos = pos;
         }
+        if u == v {
+            return true;
+        }
         match &self.inner {
             IndexInner::MultiBags(bags) => bags.in_s_bag_at_cached(&mut cursor.bags, u, pos),
             IndexInner::MultiBagsPlus { dsp, nsp } => {
-                if u == v {
-                    return true;
-                }
                 if dsp.in_s_bag_at_cached(&mut cursor.bags, u, pos) {
                     return true;
                 }

@@ -86,9 +86,10 @@ impl ShadowPartition {
         }
     }
 
-    /// Processes one granule-level access, mirroring the sequential
-    /// detector's read/write protocol against the frozen index. Queries go
-    /// through the worker's cursor; accesses must arrive in trace order.
+    /// Processes one granule-level access through the same Section 3
+    /// protocol as the sequential detector ([`AccessHistory::access`]),
+    /// answering its checks from the frozen index. Queries go through the
+    /// worker's cursor; accesses must arrive in trace order.
     pub(crate) fn apply(
         &mut self,
         index: &ReachIndex,
@@ -97,73 +98,30 @@ impl ShadowPartition {
     ) {
         debug_assert!(self.owns(acc.granule));
         let addr = MemAddr(acc.granule * MemAddr::GRANULARITY);
-        // Collect the racing pairs first: the shadow state borrow must end
-        // before the witness bookkeeping takes `&mut self` again. The order
-        // (writer check, then readers in list order) matches the sequential
-        // detector, so the first witness per granule is the same race.
+        let kind = if acc.is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        // Collect the racing pairs first: the history borrow must end before
+        // the witness bookkeeping takes `&mut self` again. The history
+        // checks in the sequential detector's order, so the first witness
+        // per granule is the same race.
         let mut races: Vec<Race> = Vec::new();
-        // Access-history counters accumulate in locals while the shadow
-        // state is borrowed, then fold into the partition's stats — the
-        // same quantities the sequential detector counts, so summing them
-        // across partitions reproduces its totals (minus `shadow_pages`,
-        // which is per-partition table occupancy).
-        let mut readers_recorded = 0u64;
-        let mut readers_cleared = 0u64;
-        let state = self.history.get_mut(acc.granule);
-        if acc.is_write {
-            if let Some(writer) = state.last_writer {
-                if !index.precedes_at_cached(cursor, writer, acc.strand, acc.pos) {
-                    races.push(Race {
-                        addr,
-                        prior_strand: writer,
-                        prior_kind: AccessKind::Write,
-                        current_strand: acc.strand,
-                        current_kind: AccessKind::Write,
-                    });
+        self.history
+            .access(acc.granule, acc.strand, kind, |prior, prior_kind| {
+                if index.precedes_at_cached(cursor, prior, acc.strand, acc.pos) {
+                    return false;
                 }
-            }
-            for &reader in &state.readers {
-                if !index.precedes_at_cached(cursor, reader, acc.strand, acc.pos) {
-                    races.push(Race {
-                        addr,
-                        prior_strand: reader,
-                        prior_kind: AccessKind::Read,
-                        current_strand: acc.strand,
-                        current_kind: AccessKind::Write,
-                    });
-                }
-            }
-            readers_cleared = state.readers.len() as u64;
-            state.readers.clear();
-            state.last_writer = Some(acc.strand);
-        } else {
-            if let Some(writer) = state.last_writer {
-                if !index.precedes_at_cached(cursor, writer, acc.strand, acc.pos) {
-                    races.push(Race {
-                        addr,
-                        prior_strand: writer,
-                        prior_kind: AccessKind::Write,
-                        current_strand: acc.strand,
-                        current_kind: AccessKind::Read,
-                    });
-                }
-            }
-            // A strand appears once per write epoch, exactly as in the
-            // sequential detector.
-            if state.readers.last() != Some(&acc.strand) {
-                state.readers.push(acc.strand);
-                readers_recorded = 1;
-            }
-        }
-        let stats = self.history.stats_mut();
-        if acc.is_write {
-            stats.write_checks += 1;
-        } else {
-            stats.read_checks += 1;
-        }
-        stats.readers_recorded += readers_recorded;
-        stats.readers_cleared += readers_cleared;
-        stats.races_found += races.len() as u64;
+                races.push(Race {
+                    addr,
+                    prior_strand: prior,
+                    prior_kind,
+                    current_strand: acc.strand,
+                    current_kind: kind,
+                });
+                true
+            });
         for race in races {
             self.found(acc.pos, race);
         }

@@ -172,6 +172,10 @@ impl Observer for MultiBags {
 impl Reachability for MultiBags {
     fn precedes_current(&mut self, u: StrandId) -> bool {
         self.queries += 1;
+        // The current strand is in its active function's S-bag: no find.
+        if u == self.current {
+            return true;
+        }
         self.in_s_bag(u)
     }
 
@@ -242,6 +246,19 @@ mod tests {
         // After the get the future's strands are sequentially before us.
         assert!(mb.in_s_bag(sg));
         assert_eq!(mb.bag_of(sg), (true, root));
+    }
+
+    #[test]
+    fn querying_the_current_strand_counts_a_query_but_no_find() {
+        let mut mb = MultiBags::new();
+        mb.on_strand_start(StrandId(0), FunctionId(0));
+        mb.on_strand_start(StrandId(1), FunctionId(0));
+        let finds = mb.stats().finds;
+        assert!(mb.precedes_current(StrandId(1)));
+        assert_eq!((mb.stats().queries, mb.stats().finds), (1, finds));
+        assert!(mb.precedes_current(StrandId(0)));
+        assert_eq!(mb.stats().queries, 2);
+        assert!(mb.stats().finds > finds);
     }
 
     #[test]
